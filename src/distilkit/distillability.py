@@ -400,12 +400,11 @@ def symmetric_dual_positive(
     dimA: int,
     dimB: int,
     pairs: int,
-    samples: int = 100,
 ) -> tuple[bool, float]:
     """Test whether the pair-symmetrization of a Hermitian Q is positive semidefinite.
 
-    A True verdict is additionally cross-checked by pairing Q against randomly
-    sampled symmetric states (fixed internal seed), which must all be >= -1e-9.
+    A True verdict means tr[Q omega] >= 0 for every permutation-symmetric
+    state omega, since tr[Q omega] = tr[S(Q) omega] for the symmetrization S.
     """
     pair_dim = dimA * dimB
     if q.shape != (pair_dim ** pairs,) * 2:
@@ -414,17 +413,7 @@ def symmetric_dual_positive(
         raise ParameterError("Q must be Hermitian")
     sq = symmetry.symmetrize_matrix(q, pair_dim, pairs)
     lo = linalg.min_eig(sq)
-    flag = lo >= -states.STATE_TOL
-    if flag:
-        rng = np.random.default_rng(7)
-        for _ in range(samples):
-            omega = symmetry.symmetrize_matrix(
-                linalg.random_density(rng, pair_dim ** pairs), pair_dim, pairs
-            )
-            if np.real(np.trace(q @ omega)) < -states.STATE_TOL:
-                # mathematically impossible when S(Q) >= 0; fail loudly
-                raise OptimizationError("sampled symmetric state violates certified positivity")
-    return flag, float(lo)
+    return lo >= -states.STATE_TOL, float(lo)
 
 
 def negative_symmetric_witness(q: np.ndarray, dimA: int, dimB: int, pairs: int) -> BipartiteState:

@@ -133,7 +133,7 @@ def werner_state(d: int, p: float) -> BipartiteState:
     """Mixture p * (normalized antisymmetric projector) + (1-p) * (normalized symmetric).
 
     Entangled (and NPT) exactly for p > 1/2; the partial-transpose minimum
-    eigenvalue is (1 - 2p)/d.
+    eigenvalue is min((1 - 2p)/d, p/(d(d-1)) + (1 - p)/(d(d+1))).
     """
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"werner weight p must be in [0, 1], got {p}")

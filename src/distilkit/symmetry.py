@@ -87,29 +87,38 @@ def permutation_operator(perm: Permutation, pair_dim: int, dim_cap: int = DIM_CA
     return op
 
 
-def _conjugate_by_sources(mat: np.ndarray, src: np.ndarray) -> np.ndarray:
-    # (P rho P^dag)[i, j] = rho[src[i], src[j]] -- avoids dense matmuls
-    return mat[np.ix_(src, src)]
-
-
 def all_permutations(k: int):
     for tup in itertools.permutations(range(1, k + 1)):
         yield Permutation(k, tup)
+
+
+def _transposition_sweeps(t: np.ndarray, slots: range) -> np.ndarray:
+    """Sum of conjugations by all permutations of the factors ``slots`` of the
+    ``dims + dims`` tensor view ``t``, by the Jucys-Murphy factorisation
+    sum_{sigma in S_k} sigma = prod_{j=2}^{k} (1 + sum_{i<j} (i j)):
+    k(k-1)/2 axis swaps of a row and a column factor pair, not one gather per sigma."""
+    n = t.ndim // 2
+    for pos, j in enumerate(slots[1:], start=1):
+        acc = t.copy()
+        for i in slots[:pos]:
+            axes = list(range(2 * n))
+            axes[i], axes[j], axes[n + i], axes[n + j] = j, i, n + j, n + i
+            acc += t.transpose(axes)
+        t = acc
+    return t
 
 
 def symmetrize_matrix(mat: np.ndarray, pair_dim: int, k: int) -> np.ndarray:
     """Group average P_pi M P_pi^dag over all k! pair permutations of a raw matrix."""
     if k == 1:
         return np.array(mat, copy=True)
-    acc = np.zeros_like(np.asarray(mat, dtype=complex))
-    for perm in all_permutations(k):
-        src = _pair_perm_sources(k, pair_dim, perm)
-        acc += _conjugate_by_sources(mat, src)
-    return acc / math.factorial(k)
+    t = np.asarray(mat, dtype=complex).reshape((pair_dim,) * (2 * k))
+    return _transposition_sweeps(t, range(k)).reshape(pair_dim ** k, -1) / math.factorial(k)
 
 
 def symmetrize(state: BipartiteState) -> BipartiteState:
-    """Group average over all k! pair permutations (a unital, trace-preserving channel)."""
+    """Group average over all k! pair permutations (a unital, trace-preserving
+    channel); the group sum is computed by transposition sweeps."""
     if state.pairs == 1:
         return state
     avg = symmetrize_matrix(state.data, state.pair_dim, state.pairs)
@@ -117,24 +126,19 @@ def symmetrize(state: BipartiteState) -> BipartiteState:
 
 
 def double_symmetrize(state: BipartiteState) -> BipartiteState:
-    """Average over independent A-side and B-side pair permutations (k!^2 terms)."""
+    """Average over independent A-side and B-side pair permutations (k!^2 terms).
+
+    The two groups commute, so the group sum is a transposition sweep over the
+    A factors followed by one over the B factors.
+    """
     k = state.pairs
     if k == 1:
         return state
-    dims = state.factor_dims
-    acc = np.zeros_like(state.data)
-    count = 0
-    for pa in itertools.permutations(range(k)):
-        for pb in itertools.permutations(range(k)):
-            # fine-factor permutation: slot 2j picks A factor pa[j], slot 2j+1 picks B factor pb[j]
-            fine = []
-            for j in range(k):
-                fine.append(2 * pa[j])
-                fine.append(2 * pb[j] + 1)
-            src = linalg.permutation_index_map(dims, tuple(fine))
-            acc += _conjugate_by_sources(state.data, src)
-            count += 1
-    return BipartiteState(acc / count, state.dimA, state.dimB, k)
+    t = state.data.reshape(state.factor_dims * 2)
+    for slots in (range(0, 2 * k, 2), range(1, 2 * k, 2)):
+        t = _transposition_sweeps(t, slots)
+    avg = t.reshape(state.dim, state.dim) / math.factorial(k) ** 2
+    return BipartiteState(avg, state.dimA, state.dimB, k)
 
 
 def definetti_bound(d: int, k: int, n: int) -> float:

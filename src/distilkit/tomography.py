@@ -47,6 +47,8 @@ class OutcomeCounts:
     shots: int
 
     def __post_init__(self):
+        if any(c < 0 for c in self.counts):
+            raise ParameterError("counts must be nonnegative")
         if sum(self.counts) != self.shots:
             raise ParameterError("counts must sum to shots")
 
@@ -379,6 +381,8 @@ def load_counts(path) -> OutcomeCounts:
     for idx, c in reader:
         rows.append((int(idx), int(c)))
     rows.sort()
+    if [idx for idx, _ in rows] != list(range(len(rows))):
+        raise ParameterError("outcome indices must be exactly 0..K-1, each once")
     counts = tuple(c for _, c in rows)
     return OutcomeCounts(counts, sum(counts))
 

@@ -5,10 +5,13 @@ algebraic routes so that library outputs are checked against code that does
 not share their implementation.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from distilkit import BipartiteState
+from distilkit import BipartiteState, permutation_operator
+from distilkit.symmetry import all_permutations
 
 
 def pt_reference(mat: np.ndarray, dimA: int, dimB: int) -> np.ndarray:
@@ -35,6 +38,15 @@ def partial_trace_reference(mat: np.ndarray, dims, keep_axis: int) -> np.ndarray
             for j in range(m):
                 out[i, j] = sum(mat[t * m + i, t * m + j] for t in range(m))
     return out
+
+
+def explicit_twirl(mat: np.ndarray, pair_dim: int, k: int) -> np.ndarray:
+    """1/k! sum_pi P_pi M P_pi^T with every dense pair-permutation matrix built."""
+    acc = np.zeros(mat.shape, dtype=complex)
+    for perm in all_permutations(k):
+        p = permutation_operator(perm, pair_dim)
+        acc += p @ mat @ p.T
+    return acc / math.factorial(k)
 
 
 def random_state(rng: np.random.Generator, dimA: int, dimB: int, pairs: int = 1) -> BipartiteState:

@@ -89,6 +89,28 @@ class TestScalarCommands:
         assert run(["definetti-bound", "--d", "2", "--k", "1", "--n", "100",
                     "--bogus", "3"]) == 2
 
+    def test_malformed_state_json_is_usage_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"data": [')
+        assert run(["ppt", "--state", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "x.json"
+        assert run(["state", "--family", "werner", "--d", "2", "--p", "0.3",
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_linalg_failure_is_numeric_error(self, capsys, monkeypatch, werner_file):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr(dk.distillability, "is_ppt", fail)
+        assert run(["ppt", "--state", werner_file]) == 3
+        assert capsys.readouterr().err == "error: eigenvalues did not converge\n"
+
     def test_single_summary_line(self, capsys, tmp_path):
         run(["state", "--family", "isotropic", "--d", "2", "--p", "0.5",
              "--out", str(tmp_path / "i.json")])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
 import distilkit as dk
@@ -14,7 +15,7 @@ from distilkit.distillability import (
 from distilkit.errors import ParameterError
 from distilkit.symmetry import symmetrize_matrix
 
-from conftest import random_state
+from conftest import explicit_twirl, random_state
 
 PHI2 = dk.phi_projector(2)
 
@@ -237,6 +238,24 @@ class TestSymmetricDualPositive:
             break
         else:
             pytest.fail("no negative example sampled")
+
+    @pytest.mark.parametrize("pairs", [2, 3])
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_positive_verdict_pairs_nonnegatively_with_symmetric_states(self, pairs, seed):
+        # Q = R + 5 (X - P X P^T) is far from PSD, but S(Q) = S(R) is PSD; the
+        # symmetric states come from the explicit group average, not the library twirl
+        rng = np.random.default_rng(seed)
+        n = 4 ** pairs
+        x = linalg.random_hermitian(rng, n)
+        p = dk.permutation_operator(dk.Permutation(pairs, (2, 1) + tuple(range(3, pairs + 1))), 4)
+        q = linalg.random_density(rng, n) * n + 5.0 * (x - p @ x @ p.T)
+        assert np.linalg.eigvalsh(q)[0] < 0
+        flag, lo = dk.symmetric_dual_positive(q, 2, 2, pairs)
+        assert flag
+        for _ in range(20):
+            omega = explicit_twirl(linalg.random_density(rng, n), 4, pairs)
+            assert np.real(np.trace(q @ omega)) >= -1e-9
 
     def test_invariant_under_presymmetrization(self, rng):
         q = linalg.random_hermitian(rng, 16)

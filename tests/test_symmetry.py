@@ -2,16 +2,46 @@
 mixtures of product powers, and the product-mixture distance bound."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import distilkit as dk
 from distilkit import linalg
 from distilkit.errors import ParameterError
-from distilkit.symmetry import all_permutations
+from distilkit.symmetry import all_permutations, symmetrize_matrix
 
-from conftest import random_state
+from conftest import explicit_twirl, random_state
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+def random_matrix(rng, n, kind):
+    """Twirl inputs: PSD, Hermitian with negative eigenvalues, non-Hermitian, real."""
+    if kind == "real":
+        return rng.standard_normal((n, n))
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "psd":
+        return g @ g.conj().T / n
+    if kind == "hermitian":
+        h = linalg.hermitize(g)
+        assert np.linalg.eigvalsh(h)[0] < 0
+        return h
+    return g
+
+
+def explicit_double_twirl(mat, dimA, dimB, k):
+    """Average over all k!^2 pairs (A permutation, B permutation), one factor
+    reordering each."""
+    dims = (dimA, dimB) * k
+    acc = np.zeros(mat.shape, dtype=complex)
+    for pa in itertools.permutations(range(k)):
+        for pb in itertools.permutations(range(k)):
+            fine = tuple(x for j in range(k) for x in (2 * pa[j], 2 * pb[j] + 1))
+            acc += linalg.permute_factors(mat, dims, fine)
+    return acc / math.factorial(k) ** 2
 
 
 def perm(k, *mapping):
@@ -76,11 +106,7 @@ class TestSymmetrize:
         out = dk.symmetrize(omega)
         twice = dk.symmetrize(out)
         assert np.max(np.abs(out.data - twice.data)) < 1e-12
-        acc = np.zeros_like(omega.data)
-        for p in all_permutations(3):
-            u = dk.permutation_operator(p, 4)
-            acc += u @ omega.data @ u.T
-        assert np.max(np.abs(out.data - acc / 6)) < 1e-12
+        assert np.max(np.abs(out.data - explicit_twirl(omega.data, 4, 3))) < 1e-12
 
     def test_channel_properties(self, rng):
         omega = random_state(rng, 2, 2, pairs=3)
@@ -91,6 +117,42 @@ class TestSymmetrize:
             u = dk.permutation_operator(p, 4)
             conj = dk.BipartiteState(u @ out.data @ u.T, 2, 2, 3)
             assert dk.trace_distance(out, conj) <= 1e-12
+
+
+class TestTwirlOracles:
+    @pytest.mark.parametrize("pair_dim,k", [(4, 2), (4, 3), (4, 4), (9, 2), (9, 3)])
+    @pytest.mark.parametrize("kind", ["psd", "hermitian", "general", "real"])
+    @settings(max_examples=3, deadline=None)
+    @given(seed=SEEDS)
+    def test_symmetrize_matrix_matches_explicit_average(self, pair_dim, k, kind, seed):
+        mat = random_matrix(np.random.default_rng(seed), pair_dim ** k, kind)
+        out = symmetrize_matrix(mat, pair_dim, k)
+        assert np.max(np.abs(out - explicit_twirl(mat, pair_dim, k))) < 1e-12
+
+    @pytest.mark.parametrize("dimA,dimB,k", [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 3)])
+    @settings(max_examples=5, deadline=None)
+    @given(seed=SEEDS)
+    def test_double_symmetrize_matches_explicit_enumeration(self, dimA, dimB, k, seed):
+        omega = random_state(np.random.default_rng(seed), dimA, dimB, pairs=k)
+        out = dk.double_symmetrize(omega)
+        assert np.max(np.abs(out.data - explicit_double_twirl(omega.data, dimA, dimB, k))) < 1e-12
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_symmetrized_mixture_of_powers(self, rng, k):
+        members = tuple(random_state(rng, 2, 2) for _ in range(3))
+        mix = dk.mixture_of_powers(dk.Ensemble((0.2, 0.3, 0.5), members), k)
+        out = dk.symmetrize(mix)
+        assert np.max(np.abs(out.data - explicit_twirl(mix.data, 4, k))) < 1e-12
+        assert np.max(np.abs(out.data - mix.data)) < 1e-12
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_negative_symmetric_witness(self, rng, k):
+        q = linalg.random_hermitian(rng, 4 ** k)
+        w, v = np.linalg.eigh(explicit_twirl(q, 4, k))
+        assert w[0] < 0
+        expect = explicit_twirl(np.outer(v[:, 0], v[:, 0].conj()), 4, k)
+        out = dk.negative_symmetric_witness(q, 2, 2, k)
+        assert np.max(np.abs(out.data - expect)) < 1e-12
 
 
 class TestDoubleSymmetrize:

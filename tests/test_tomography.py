@@ -302,6 +302,22 @@ class TestPipeline:
 
 
 class TestCountsCsv:
+    @pytest.mark.parametrize("rows", [
+        ["0,5", "0,5", "1,3"],  # duplicate index
+        ["0,5", "2,3"],  # gap
+        ["1,5", "2,3"],  # does not start at 0
+        ["0,5", "1,-3"],  # negative count
+    ])
+    def test_bad_rows_rejected(self, tmp_path, rows):
+        path = tmp_path / "c.csv"
+        path.write_text("\n".join(["outcome_index,count"] + rows) + "\n")
+        with pytest.raises(ParameterError):
+            tomography.load_counts(path)
+
+    def test_negative_counts_rejected(self):
+        with pytest.raises(ParameterError):
+            tomography.OutcomeCounts((5, 5, -3), 7)
+
     def test_roundtrip(self, tmp_path):
         fr = dk.minimal_ic_povm(2)
         pf = dk.product_frame(fr, fr)
