@@ -11,7 +11,6 @@ computational product basis.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -217,8 +216,3 @@ def search_activator(
     found = best_val < -1e-9
     return ActivationSearchReport(best, float(best_val), fidelity, weight, c_val,
                                   budget_exhausted=not found, candidates=tried)
-
-
-def report_to_json(report: ActivationSearchReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh)

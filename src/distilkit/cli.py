@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 import numpy as np
@@ -52,7 +51,7 @@ def _write_json(args, payload: dict, structured: bool = False) -> None:
         payload = dict(payload)
         payload["meta"] = _meta(args)
         with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=1)
+            json.dump(payload, fh)
         return
     if structured:
         raise ParameterError("csv format is not available for structured artifacts")
@@ -78,25 +77,6 @@ def _write_csv(args, header: list[str], rows: list[list]) -> None:
             writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
 
 
-def _load_state(path: str) -> BipartiteState:
-    try:
-        return states.load_state(path)
-    except FileNotFoundError as exc:
-        raise ParameterError(f"state file not found: {path}") from exc
-
-
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("DISTILKIT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ParameterError(f"bad DISTILKIT_THREADS value: {env!r}")
-    return os.cpu_count() or 1
-
-
 def _family_state(args) -> BipartiteState:
     params = {}
     if getattr(args, "p", None) is not None:
@@ -120,9 +100,9 @@ def cmd_state(args) -> int:
 
 
 def cmd_f2(args) -> int:
-    state = _load_state(args.state)
+    state = states.load_state(args.state)
     rep = distillability.f2(state, restarts=args.restarts, iters=args.iters,
-                            tol=args.tol, seed=args.seed, threads=_threads(args))
+                            tol=args.tol, seed=args.seed)
     _write_json(args, rep.to_dict())
     verdict = rep.value > 0.5 + F2_VERDICT_TOL
     print(f"f2={_fmt(rep.value)} distillable={verdict}")
@@ -130,10 +110,10 @@ def cmd_f2(args) -> int:
 
 
 def cmd_fd(args) -> int:
-    state = _load_state(args.state)
+    state = states.load_state(args.state)
     lam = args.lam if args.lam is not None else 1.0 / args.D
     rep = distillability.fD(state, args.D, lam, restarts=args.restarts,
-                            iters=args.iters, seed=args.seed, threads=_threads(args))
+                            iters=args.iters, seed=args.seed)
     payload = rep.to_dict()
     payload["D"] = args.D
     payload["lambda"] = lam
@@ -144,7 +124,7 @@ def cmd_fd(args) -> int:
 
 
 def cmd_ppt(args) -> int:
-    state = _load_state(args.state)
+    state = states.load_state(args.state)
     flag, lo = distillability.is_ppt(state)
     _write_json(args, {"ppt": flag, "min_eigenvalue": lo})
     print(f"ppt={flag} min_eigenvalue={_fmt(lo)}")
@@ -152,7 +132,7 @@ def cmd_ppt(args) -> int:
 
 
 def cmd_undistill1(args) -> int:
-    state = _load_state(args.state)
+    state = states.load_state(args.state)
     rep = distillability.single_copy_distillable(state, budget=args.budget, seed=args.seed)
     _write_json(args, rep.to_dict())
     found = rep.value < -distillability.VIOLATION_TOL
@@ -161,7 +141,7 @@ def cmd_undistill1(args) -> int:
 
 
 def cmd_ncopy(args) -> int:
-    state = _load_state(args.state)
+    state = states.load_state(args.state)
     rep = distillability.n_copy_distillable(state, args.n, budget=args.budget, seed=args.seed)
     _write_json(args, rep.to_dict())
     found = rep.value < -distillability.VIOLATION_TOL
@@ -170,7 +150,7 @@ def cmd_ncopy(args) -> int:
 
 
 def cmd_symmetrize(args) -> int:
-    state = _load_state(args.state)
+    state = states.load_state(args.state)
     out = symmetry.double_symmetrize(state) if args.double else symmetry.symmetrize(state)
     _write_json(args, states.state_to_dict(out), structured=True)
     print(f"symmetrized pairs={out.pairs} double={bool(args.double)}")
@@ -193,7 +173,7 @@ def cmd_definetti_bound(args) -> int:
 
 
 def cmd_defclose(args) -> int:
-    state = _load_state(args.state)
+    state = states.load_state(args.state)
     val, ens = symmetry.best_product_mixture_distance(
         state, restarts=args.restarts, iters=args.iters, seed=args.seed)
     _write_json(args, {"distance": val, "ensemble": symmetry.ensemble_to_dict(ens)}, structured=True)
@@ -207,8 +187,8 @@ def cmd_tomo_frame(args) -> int:
         frame = tomography.product_frame(frame, tomography.minimal_ic_povm(args.m2))
     payload = {
         "dim": frame.dim,
-        "elements": [distillability._complex_matrix_to_list(e) for e in frame.elements],
-        "duals": [distillability._complex_matrix_to_list(d) for d in frame.duals],
+        "elements": [states.encode_matrix(e) for e in frame.elements],
+        "duals": [states.encode_matrix(d) for d in frame.duals],
     }
     _write_json(args, payload, structured=True)
     print(f"frame dim={frame.dim} outcomes={frame.n_outcomes}")
@@ -221,7 +201,7 @@ def _default_frame(state: BipartiteState) -> tomography.Frame:
 
 
 def cmd_tomo_sim(args) -> int:
-    state = _load_state(args.state)
+    state = states.load_state(args.state)
     frame = _default_frame(state)
     counts = tomography.simulate_measurements(state, frame, args.shots, args.seed)
     if (args.format or "csv") == "csv":
@@ -239,7 +219,7 @@ def cmd_tomo_pipeline(args) -> int:
     if args.ensemble:
         source = symmetry.load_ensemble(args.ensemble)
     else:
-        source = _load_state(args.state)
+        source = states.load_state(args.state)
     rep = tomography.estimation_pipeline(source, n=args.n, m_shots=args.shots,
                                          budget=args.budget, seed=args.seed)
     _write_json(args, rep.to_dict(), structured=True)
@@ -256,8 +236,8 @@ def cmd_chernoff(args) -> int:
 
 
 def cmd_activate_check(args) -> int:
-    rho = _load_state(args.rho)
-    sigma = _load_state(args.sigma)
+    rho = states.load_state(args.rho)
+    sigma = states.load_state(args.sigma)
     witness = activation.activation_witness(rho, sigma)
     inst = activation.ActivationInstance(rho, sigma, rho.dimA)
     out, weight = activation.apply_activation(inst)
@@ -271,7 +251,7 @@ def cmd_activate_check(args) -> int:
 
 
 def cmd_activate_search(args) -> int:
-    sigma = _load_state(args.sigma)
+    sigma = states.load_state(args.sigma)
     rep = activation.search_activator(sigma, budget=args.budget, seed=args.seed)
     _write_json(args, rep.to_dict(), structured=True)
     found = not rep.budget_exhausted
@@ -280,8 +260,8 @@ def cmd_activate_search(args) -> int:
 
 
 def cmd_jam_check(args) -> int:
-    rho = _load_state(args.rho)
-    sigma = _load_state(args.sigma)
+    rho = states.load_state(args.rho)
+    sigma = states.load_state(args.sigma)
     inst = activation.ActivationInstance(rho, sigma, rho.dimA)
     c, dev = activation.jam_check(inst, trials=args.trials, seed=args.seed)
     _write_json(args, {"c": c, "max_deviation": dev})
@@ -322,7 +302,7 @@ def cmd_sweep(args) -> int:
             spec = StateFamilySpec(Family(args.family), d=args.d, params={"p": p})
             state = states.construct_state(spec, seed=None)
             rep = distillability.f2(state, restarts=args.restarts, iters=args.iters,
-                                    seed=base_seed + idx, threads=_threads(args))
+                                    seed=base_seed + idx)
             flag, lo = distillability.is_ppt(state)
             rows.append([p, rep.value, flag, lo])
     elif args.task == "ppt":
@@ -337,7 +317,7 @@ def cmd_sweep(args) -> int:
     elif args.task == "tomo-pipeline":
         if args.param != "shots":
             raise ParameterError("task tomo-pipeline sweeps --param shots")
-        source = _load_state(args.state) if args.state else _family_state(args)
+        source = states.load_state(args.state) if args.state else _family_state(args)
         truth = source if source.pairs == 1 else states.partial_trace(source, {1})
         header = ["shots", "f_m", "chernoff", "trace_distance", "verdict"]
         for idx, shots in enumerate(values):
@@ -378,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--format", choices=["json", "csv"], default=None,
                        help="artifact format (csv only for flat scalar reports)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="restart parallelism (default: DISTILKIT_THREADS or machine)")
         return p
 
     p = add("state", cmd_state, help="construct a named-family state")
@@ -501,7 +479,7 @@ def run(argv=None) -> int:
     except (DistilKitError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, ValueError) as exc:  # bad input files, json.JSONDecodeError included
+    except (OSError, ValueError) as exc:  # unreadable or unwritable files, malformed fields
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

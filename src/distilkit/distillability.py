@@ -7,8 +7,6 @@ while "no violation found within budget" never claims undistillability.
 
 from __future__ import annotations
 
-import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -69,13 +67,13 @@ class WitnessReport:
         if isinstance(cert, FilterPair):
             payload = {
                 "type": "filter_pair",
-                "A": _complex_matrix_to_list(cert.A),
-                "B": _complex_matrix_to_list(cert.B),
+                "A": states.encode_matrix(cert.A),
+                "B": states.encode_matrix(cert.B),
             }
         elif isinstance(cert, np.ndarray):
             payload = {
                 "type": "schmidt_rank2_vector",
-                "vector": [[float(z.real), float(z.imag)] for z in cert],
+                "vector": states.encode_complex(cert),
             }
         elif cert is None:
             payload = None
@@ -88,13 +86,6 @@ class WitnessReport:
             "seed": self.seed,
             "restarts": int(self.restarts),
         }
-
-
-def _complex_matrix_to_list(m: np.ndarray) -> dict:
-    return {
-        "shape": list(m.shape),
-        "entries": [[float(z.real), float(z.imag)] for z in m.reshape(-1)],
-    }
 
 
 def _cut_dims(state: BipartiteState) -> tuple[int, int]:
@@ -165,7 +156,6 @@ def _fd_seesaw(
     iters: int,
     tol: float,
     seed: Optional[int],
-    threads: int = 1,
 ) -> WitnessReport:
     if restarts < 1:
         raise ParameterError("need restarts >= 1")
@@ -217,21 +207,14 @@ def _fd_seesaw(
                 init = random_filters(r)
         return None
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(restarts)))
-    else:
-        results = [run(i) for i in range(restarts)]
-
-    results = [(i, r) for i, r in enumerate(results) if r is not None]
+    results = [r for r in map(run, range(restarts)) if r is not None]
     if not results:
         raise OptimizationError("all see-saw restarts degenerated")
 
-    best_val = max(r[1][0] for r in results)
-    chosen = next(r for r in results if r[1][0] >= best_val - 1e-12)
-    fp = chosen[1][1]
+    best_val = max(val for val, _ in results)
+    chosen_val, fp = next(r for r in results if r[0] >= best_val - 1e-12)
     overlap, weight = filter_ratio(state, fp)
-    value = overlap / weight if weight > DENOM_REG else chosen[1][0]
+    value = overlap / weight if weight > DENOM_REG else chosen_val
     return WitnessReport(value=float(value), certificate=fp, budget_exhausted=False,
                          seed=seed, restarts=restarts)
 
@@ -242,7 +225,6 @@ def f2(
     iters: int = DEFAULT_ITERS,
     tol: float = DEFAULT_TOL,
     seed: Optional[int] = None,
-    threads: int = 1,
 ) -> WitnessReport:
     """Lower bound on the filtered two-qubit singlet fraction with its achieving filters.
 
@@ -251,7 +233,7 @@ def f2(
     decreases along iterations.  Values above 1/2 certify single-copy
     distillability.
     """
-    return _fd_seesaw(state, 2, restarts, iters, tol, seed, threads)
+    return _fd_seesaw(state, 2, restarts, iters, tol, seed)
 
 
 def fD(
@@ -262,7 +244,6 @@ def fD(
     iters: int = DEFAULT_ITERS,
     seed: Optional[int] = None,
     tol: float = DEFAULT_TOL,
-    threads: int = 1,
 ) -> WitnessReport:
     """Lower bound on the filtered phi_D fraction (target of output dimension D).
 
@@ -273,12 +254,21 @@ def fD(
         raise ParameterError("need D >= 2")
     if lam is not None and not (1.0 / D <= lam < 1.0):
         raise ParameterError(f"lambda must lie in [1/{D}, 1)")
-    return _fd_seesaw(state, D, restarts, iters, tol, seed, threads)
+    return _fd_seesaw(state, D, restarts, iters, tol, seed)
 
 
 # ---------------------------------------------------------------------------
 # Schmidt-rank-2 negativity search (single-copy distillability)
 # ---------------------------------------------------------------------------
+
+def _global_cut_pt(state: BipartiteState) -> np.ndarray:
+    """rho^T_B on the global A|B cut as a (dA, dB, dA, dB) tensor: transposing the
+    aggregated B index transposes every B factor.  The copy is C-ordered because
+    einsum's summation order, and so the searches' rounding, follows the layout."""
+    dA, dB = _cut_dims(state)
+    return np.ascontiguousarray(
+        to_global_cut(state).reshape(dA, dB, dA, dB).transpose(0, 3, 2, 1))
+
 
 def _subspace_step(pt4, basis, side):
     """Exact minimum of <psi|PT|psi> over psi supported on one fixed local 2-space."""
@@ -306,12 +296,7 @@ def single_copy_distillable(
     found within budget".
     """
     dA, dB = _cut_dims(state)
-    ptg = states.partial_transpose(state)
-    if state.pairs > 1:
-        k = state.pairs
-        perm = tuple(2 * p for p in range(k)) + tuple(2 * p + 1 for p in range(k))
-        ptg = linalg.permute_factors(ptg, state.factor_dims, perm)
-    pt4 = ptg.reshape(dA, dB, dA, dB)
+    pt4 = _global_cut_pt(state)
 
     rng = np.random.default_rng(seed)
     best_val, best_vec = np.inf, None
@@ -362,11 +347,7 @@ def is_ppt(state: BipartiteState) -> tuple[bool, float]:
 def evaluate_schmidt_certificate(state: BipartiteState, vector: np.ndarray) -> float:
     """Re-evaluate a Schmidt-rank-2 certificate: <psi| rho^T_B |psi> on the global cut."""
     dA, dB = _cut_dims(state)
-    pt = states.partial_transpose(state)
-    if state.pairs > 1:
-        k = state.pairs
-        perm = tuple(2 * p for p in range(k)) + tuple(2 * p + 1 for p in range(k))
-        pt = linalg.permute_factors(pt, state.factor_dims, perm)
+    pt = _global_cut_pt(state).reshape(dA * dB, dA * dB)
     v = np.asarray(vector, dtype=complex).reshape(-1)
     return float(np.real(v.conj() @ pt @ v))
 
@@ -434,7 +415,3 @@ def witness_pairing(x: np.ndarray, state: BipartiteState) -> float:
         raise ParameterError("witness and state dimensions differ")
     return float(np.real(np.trace(x @ state.data)))
 
-
-def report_to_json(report: WitnessReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh)

@@ -13,6 +13,7 @@ reordering.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -182,10 +183,11 @@ def construct_state(spec: StateFamilySpec, seed: Optional[int] = None) -> Bipart
         raise ParameterError(f"family {fam.value} requires a seed")
     rng = np.random.default_rng(seed) if seed is not None else None
 
-    if fam is Family.WERNER:
-        return werner_state(d, float(params.get("p", 0.5)))
-    if fam is Family.ISOTROPIC:
-        return isotropic_state(d, float(params.get("p", 0.5)))
+    if fam in (Family.WERNER, Family.ISOTROPIC):
+        if params.get("p") is None:
+            raise ParameterError(f"family {fam.value} requires the weight p")
+        make = werner_state if fam is Family.WERNER else isotropic_state
+        return make(d, float(params["p"]))
     if fam is Family.MAX_ENTANGLED:
         return BipartiteState(phi_projector(d), d, d)
     if fam is Family.PRODUCT_PURE:
@@ -302,37 +304,55 @@ def validate_state(data: np.ndarray, dimA: int, dimB: int, pairs: int = 1) -> St
 
 
 def to_global_cut(state: BipartiteState) -> np.ndarray:
-    """Reorder factors to (A1..Ak, B1..Bk); returns the matrix on C^(dA^k) (x) C^(dB^k)."""
+    """Reorder factors to (A1..Ak, B1..Bk): the matrix on C^(dA^k) (x) C^(dB^k),
+    a read-only view of ``state.data`` for one pair."""
     k = state.pairs
-    if k == 1:
-        return state.data.copy()
     perm = tuple(2 * p for p in range(k)) + tuple(2 * p + 1 for p in range(k))
     return linalg.permute_factors(state.data, state.factor_dims, perm)
 
 
-def from_global_cut(mat: np.ndarray, dimA: int, dimB: int, pairs: int) -> np.ndarray:
-    """Inverse of :func:`to_global_cut` (back to pair-major factor order)."""
-    if pairs == 1:
-        return mat.copy()
-    cut_dims = (dimA,) * pairs + (dimB,) * pairs
-    perm = []
-    for p in range(pairs):
-        perm += [p, pairs + p]
-    return linalg.permute_factors(mat, cut_dims, tuple(perm))
+# ---------------------------------------------------------------------------
+# JSON codec.  A complex array is the row-major list [[re, im], ...] of its
+# entries; a state file is {"dimA", "dimB", "pairs", "matrix": [[re, im], ...]}
+# in the pair-major index order.
+# ---------------------------------------------------------------------------
+
+def encode_complex(a: np.ndarray) -> list:
+    """Row-major ``[[re, im], ...]`` list of the entries of ``a``."""
+    return np.ascontiguousarray(a, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
-# ---------------------------------------------------------------------------
-# JSON state files: {"dimA", "dimB", "pairs", "matrix": [[re, im], ...]},
-# matrix entries row-major in the pair-major index order.
-# ---------------------------------------------------------------------------
+def encode_matrix(m: np.ndarray) -> dict:
+    """``{"shape", "entries"}`` record of a complex array."""
+    return {"shape": list(m.shape), "entries": encode_complex(m)}
+
+
+def decode_complex(entries, size: int) -> np.ndarray:
+    """Inverse of :func:`encode_complex` for exactly ``size`` entries.
+
+    Anything but a ``(size, 2)`` array of finite JSON numbers is a
+    ParameterError; strings, booleans and nulls are rejected, not coerced.
+    """
+    try:
+        arr = np.asarray(entries)
+    except ValueError:  # ragged rows
+        arr = None
+    if arr is None or arr.shape != (size, 2):
+        raise ParameterError(f"complex entries must be a list of {size} [re, im] pairs")
+    kinds = set(map(type, itertools.chain.from_iterable(entries)))
+    if arr.dtype.kind not in "if" or bool in kinds:
+        raise ParameterError("complex entries must be JSON numbers")
+    if not np.isfinite(arr).all():
+        raise ParameterError("complex entries must be finite")
+    return np.ascontiguousarray(arr, dtype=float).view(complex).reshape(-1)
+
 
 def state_to_dict(state: BipartiteState) -> dict:
-    flat = state.data.reshape(-1)
     return {
         "dimA": state.dimA,
         "dimB": state.dimB,
         "pairs": state.pairs,
-        "matrix": [[float(z.real), float(z.imag)] for z in flat],
+        "matrix": encode_complex(state.data),
     }
 
 
@@ -343,13 +363,22 @@ def state_from_dict(payload: dict) -> BipartiteState:
     except (KeyError, TypeError) as exc:
         raise ParameterError(f"malformed state payload: {exc}") from exc
     dim = (dimA * dimB) ** pairs
-    if len(entries) != dim * dim:
-        raise ParameterError(f"matrix has {len(entries)} entries, expected {dim * dim}")
-    flat = np.array([complex(re, im) for re, im in entries])
+    flat = decode_complex(entries, dim * dim)
     report = validate_state(flat.reshape(dim, dim), dimA, dimB, pairs)
     if not report.ok:
         raise ParameterError(f"state file violates invariants: {report.violations}")
     return report.state
+
+
+def read_json(path):
+    """Parse a JSON file; a missing or malformed file is a ParameterError naming it."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except FileNotFoundError as exc:
+        raise ParameterError(f"file not found: {path}") from exc
+    except ValueError as exc:  # json.JSONDecodeError, UnicodeDecodeError
+        raise ParameterError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def save_state(state: BipartiteState, path) -> None:
@@ -358,5 +387,4 @@ def save_state(state: BipartiteState, path) -> None:
 
 
 def load_state(path) -> BipartiteState:
-    with open(path) as fh:
-        return state_from_dict(json.load(fh))
+    return state_from_dict(read_json(path))

@@ -364,5 +364,4 @@ def save_ensemble(ensemble: Ensemble, path) -> None:
 
 
 def load_ensemble(path) -> Ensemble:
-    with open(path) as fh:
-        return ensemble_from_dict(json.load(fh))
+    return ensemble_from_dict(states.read_json(path))

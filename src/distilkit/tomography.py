@@ -10,7 +10,6 @@ it.  Distribution deviations fed to the tail bound are unhalved l1 sums.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
@@ -259,15 +258,15 @@ class PipelineReport:
         cert = None
         if self.certificate is not None:
             cert = {
-                "A": distillability._complex_matrix_to_list(self.certificate.A),
-                "B": distillability._complex_matrix_to_list(self.certificate.B),
+                "A": states.encode_matrix(self.certificate.A),
+                "B": states.encode_matrix(self.certificate.B),
             }
         return {
             "sigma_m": states.state_to_dict(self.sigma_m),
             "verdict": self.verdict,
             "f_m": float(self.f_m),
             "chernoff": float(self.chernoff),
-            "surrogate": True,
+            "surrogate": bool(self.surrogate),
             "observed_deviation": float(self.observed_deviation),
             "certificate": cert,
             "shots": int(self.shots),
@@ -385,8 +384,3 @@ def load_counts(path) -> OutcomeCounts:
         raise ParameterError("outcome indices must be exactly 0..K-1, each once")
     counts = tuple(c for _, c in rows)
     return OutcomeCounts(counts, sum(counts))
-
-
-def report_to_json(report: PipelineReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh)

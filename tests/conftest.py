@@ -49,6 +49,20 @@ def explicit_twirl(mat: np.ndarray, pair_dim: int, k: int) -> np.ndarray:
     return acc / math.factorial(k)
 
 
+def per_entry_pairs(a) -> list:
+    """The [[re, im], ...] JSON encoding written one entry at a time (format reference)."""
+    return [[float(z.real), float(z.imag)] for z in np.asarray(a).reshape(-1)]
+
+
+def signed_zero_matrix(rng: np.random.Generator, n: int, m: int | None = None) -> np.ndarray:
+    """Random complex n x m matrix with signed zeros and extreme magnitudes mixed in."""
+    mat = rng.standard_normal((n, m or n)) + 1j * rng.standard_normal((n, m or n))
+    flat = mat.reshape(-1)
+    flat[:4] = [complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 3.0),
+                complex(1e-300, -1e300)]
+    return mat
+
+
 def random_state(rng: np.random.Generator, dimA: int, dimB: int, pairs: int = 1) -> BipartiteState:
     n = (dimA * dimB) ** pairs
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

@@ -96,6 +96,30 @@ class TestScalarCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("name,text", [("bad.json", '{"bad'), ("missing.json", None)])
+    def test_unreadable_state_file_is_named(self, capsys, tmp_path, name, text):
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        assert run(["ppt", "--state", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("first", [["0.5", 0.0], [True, 0.0], [None, 0.0], [0.5], [0.5, 0, 0]])
+    def test_malformed_matrix_entries_are_usage_errors(self, capsys, tmp_path, first):
+        payload = dk.states.state_to_dict(dk.werner_state(2, 0.3))
+        payload["matrix"][0] = first
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        assert run(["ppt", "--state", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("family", ["werner", "isotropic"])
+    def test_family_weight_is_required(self, capsys, family):
+        assert run(["state", "--family", family, "--d", "2"]) == 2
+        assert "requires the weight p" in capsys.readouterr().err
+
     def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
         out = tmp_path / "missing" / "x.json"
         assert run(["state", "--family", "werner", "--d", "2", "--p", "0.3",

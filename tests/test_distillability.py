@@ -1,5 +1,7 @@
 """See-saw singlet fraction, Schmidt-rank-2 searches, PPT, dual-cone checks."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,9 @@ from scipy import optimize
 import distilkit as dk
 from distilkit import linalg
 from distilkit.distillability import (
+    FilterPair,
+    WitnessReport,
+    _global_cut_pt,
     evaluate_schmidt_certificate,
     filter_ratio,
     schmidt_rank2_filters,
@@ -15,7 +20,7 @@ from distilkit.distillability import (
 from distilkit.errors import ParameterError
 from distilkit.symmetry import symmetrize_matrix
 
-from conftest import explicit_twirl, random_state
+from conftest import explicit_twirl, per_entry_pairs, random_state, signed_zero_matrix
 
 PHI2 = dk.phi_projector(2)
 
@@ -100,12 +105,6 @@ class TestF2:
         v2 = dk.f2(w, restarts=6, seed=9).value
         assert v1 == v2
 
-    def test_thread_count_does_not_change_result(self):
-        w = dk.werner_state(2, 0.7)
-        v1 = dk.f2(w, restarts=8, seed=5, threads=1).value
-        v4 = dk.f2(w, restarts=8, seed=5, threads=4).value
-        assert v1 == v4
-
 
 class TestFD:
     def test_phi_d_any_lambda(self):
@@ -167,6 +166,22 @@ class TestSingleCopy:
             boost = dk.f2(rho, restarts=12, seed=i).value > 0.5 + 1e-6
             mismatches += viol != boost
         assert mismatches == 0
+
+
+class TestGlobalCutPartialTranspose:
+    @pytest.mark.parametrize("pairs", [1, 2])
+    def test_matches_transpose_then_reorder(self, rng, pairs):
+        # reference route: transpose every B factor in the pair-major order,
+        # then reorder the factors to (A1..Ak, B1..Bk)
+        s = random_state(rng, 2, 3, pairs=pairs)
+        perm = tuple(range(0, 2 * pairs, 2)) + tuple(range(1, 2 * pairs, 2))
+        ref = linalg.permute_factors(dk.partial_transpose(s), s.factor_dims, perm)
+        n = s.dim
+        pt4 = _global_cut_pt(s)
+        assert pt4.shape == (2 ** pairs, 3 ** pairs) * 2
+        assert np.array_equal(pt4.reshape(n, n), ref)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert abs(evaluate_schmidt_certificate(s, v) - np.real(v.conj() @ ref @ v)) < 1e-12
 
 
 class TestNCopy:
@@ -296,6 +311,24 @@ class TestCertificateConversion:
         fp = schmidt_rank2_filters(rep.certificate, 2, 2)
         overlap, weight = filter_ratio(w, fp)
         assert abs((0.5 * weight - overlap) - rep.value) < 1e-9
+
+    def test_filter_pair_encoding_matches_per_entry_format(self, rng):
+        fp = FilterPair(signed_zero_matrix(rng, 2, 3), signed_zero_matrix(rng, 2, 4))
+        rep = WitnessReport(0.7, fp, seed=3, restarts=4)
+        cert = {"type": "filter_pair",
+                "A": {"shape": [2, 3], "entries": per_entry_pairs(fp.A)},
+                "B": {"shape": [2, 4], "entries": per_entry_pairs(fp.B)}}
+        reference = {"value": 0.7, "certificate": cert, "budget_exhausted": False,
+                     "seed": 3, "restarts": 4}
+        assert json.dumps(rep.to_dict()) == json.dumps(reference)
+
+    def test_vector_encoding_matches_per_entry_format(self, rng):
+        vector = signed_zero_matrix(rng, 1, 6).reshape(-1)
+        rep = WitnessReport(-0.1, vector, budget_exhausted=True, seed=None, restarts=2)
+        cert = {"type": "schmidt_rank2_vector", "vector": per_entry_pairs(vector)}
+        reference = {"value": -0.1, "certificate": cert, "budget_exhausted": True,
+                     "seed": None, "restarts": 2}
+        assert json.dumps(rep.to_dict()) == json.dumps(reference)
 
     def test_report_serialization(self):
         rep = dk.single_copy_distillable(phi_state(), budget=2, seed=0)

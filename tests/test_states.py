@@ -4,12 +4,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import distilkit as dk
 from distilkit import linalg
 from distilkit.errors import CapacityError, ParameterError, SamplingError
 
-from conftest import partial_trace_reference, pt_reference, random_state
+from conftest import (
+    partial_trace_reference,
+    per_entry_pairs,
+    pt_reference,
+    random_state,
+    signed_zero_matrix,
+)
 
 
 def spec(family, d=2, **params):
@@ -74,6 +81,11 @@ class TestFamilies:
             dk.construct_state(spec("werner", d=2, p=1.5))
         with pytest.raises(ParameterError):
             dk.construct_state(spec("isotropic", d=2, p=-0.1))
+
+    @pytest.mark.parametrize("family", ["werner", "isotropic"])
+    def test_weight_is_required(self, family):
+        with pytest.raises(ParameterError, match="requires the weight p"):
+            dk.construct_state(spec(family, d=2))
 
 
 class TestTensor:
@@ -219,6 +231,29 @@ class TestValidation:
         report = dk.validate_state(w.data * (1 + 5e-10), 2, 2)
         assert report.ok
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12),
+           kind=st.sampled_from(["generic", "rank1_skew", "hermitian"]),
+           scale=st.sampled_from([1e-9, 1.0, 1e6]))
+    def test_herm_residual_bounds_operator_norm(self, seed, n, kind, scale):
+        # the tolerance test on herm_residual must reject whatever the
+        # operator norm of the anti-Hermitian part rejects
+        rng = np.random.default_rng(seed)
+        m = linalg.random_hermitian(rng, n)
+        if kind == "generic":
+            m = m + rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        elif kind == "rank1_skew":
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            m = m + 1j * np.outer(v, v.conj())
+        m = scale * m
+        spectral = np.linalg.norm((m - m.conj().T) / 2, 2)
+        assert linalg.herm_residual(m) >= spectral * (1 - 1e-14)
+
+    def test_herm_residual_non_finite_is_rejected(self):
+        m = np.eye(4) / 4
+        m[0, 1] = np.nan
+        assert linalg.herm_residual(m) == np.inf
+
     def test_flags_hermiticity(self, rng):
         w = dk.werner_state(2, 0.4).data.copy()
         w[0, 1] += 1e-3
@@ -228,6 +263,58 @@ class TestValidation:
 
 
 class TestJson:
+    @pytest.mark.parametrize("dimA,dimB,pairs", [(2, 2, 1), (2, 3, 1), (3, 3, 1), (2, 2, 2)])
+    def test_encoding_matches_per_entry_format(self, rng, dimA, dimB, pairs):
+        n = (dimA * dimB) ** pairs
+        s = dk.BipartiteState(signed_zero_matrix(rng, n), dimA, dimB, pairs)
+        reference = {"dimA": dimA, "dimB": dimB, "pairs": pairs,
+                     "matrix": per_entry_pairs(s.data)}
+        assert json.dumps(dk.states.state_to_dict(s)) == json.dumps(reference)
+
+    def test_save_state_writes_compact_json(self, tmp_path, rng):
+        s = random_state(rng, 2, 3)
+        path = tmp_path / "s.json"
+        dk.save_state(s, path)
+        assert path.read_text() == json.dumps(dk.states.state_to_dict(s))
+
+    def test_decode_inverts_encode_bitwise(self, rng):
+        m = signed_zero_matrix(rng, 5)
+        back = dk.states.decode_complex(dk.states.encode_complex(m), 25)
+        assert np.array_equal(back.view(float), m.reshape(-1).view(float))
+        assert np.signbit(back[0].real) and np.signbit(back[1].imag)
+
+    def test_decode_accepts_integers(self):
+        back = dk.states.decode_complex([[1, 0], [0.5, -2]], 2)
+        assert np.array_equal(back, np.array([1, 0.5 - 2j]))
+
+    @pytest.mark.parametrize("entries", [
+        [["0.25", 0.0]] * 4,  # string
+        [[True, 0.0]] + [[0.25, 0.0]] * 3,  # boolean
+        [[1, False]] + [[0.25, 0.0]] * 3,  # boolean among integers
+        [[None, 0.0]] * 4,  # null
+        [[0.25, 0.0]] * 3 + [[0.25]],  # ragged row
+        [[0.25, 0.0, 0.0]] * 4,  # three-wide rows
+        [[0.25, 0.0]] * 3,  # too few entries
+        [[0.25, 0.0]] * 5,  # too many entries
+        [0.25] * 8,  # flat list
+        [[float("nan"), 0.0]] * 4,  # not finite
+        "[[0.25, 0.0]]",  # not a list
+    ])
+    def test_decoder_rejects_malformed_entries(self, entries):
+        with pytest.raises(ParameterError):
+            dk.states.decode_complex(entries, 4)
+        payload = {"dimA": 2, "dimB": 1, "pairs": 1, "matrix": entries}
+        with pytest.raises(ParameterError):
+            dk.states.state_from_dict(payload)
+
+    def test_malformed_file_names_path(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"bad')
+        with pytest.raises(ParameterError, match="bad.json"):
+            dk.load_state(bad)
+        with pytest.raises(ParameterError, match="missing.json"):
+            dk.load_state(tmp_path / "missing.json")
+
     def test_roundtrip(self, tmp_path, rng):
         s = random_state(rng, 2, 3)
         path = tmp_path / "s.json"

@@ -298,3 +298,11 @@ class TestEnsembleJson:
         payload = {"weights": [1.0], "members": [str(spath)]}
         ens = dk.symmetry.ensemble_from_dict(payload)
         assert np.max(np.abs(ens.members[0].data - s.data)) < 1e-15
+
+    def test_malformed_file_names_path(self, tmp_path):
+        bad = tmp_path / "bad_ens.json"
+        bad.write_text('{"weights": [1.0], "members": [')
+        with pytest.raises(ParameterError, match="bad_ens.json"):
+            dk.load_ensemble(bad)
+        with pytest.raises(ParameterError, match="no_ens.json"):
+            dk.load_ensemble(tmp_path / "no_ens.json")

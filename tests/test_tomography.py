@@ -1,6 +1,7 @@
 """IC-POVM frames, linear inversion, sampling, state projection, tail bound,
 and the estimate-then-distill pipeline."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -299,6 +300,7 @@ class TestPipeline:
         payload = rep.to_dict()
         assert payload["surrogate"] is True
         assert set(payload) >= {"sigma_m", "verdict", "f_m", "chernoff", "surrogate"}
+        assert dataclasses.replace(rep, surrogate=False).to_dict()["surrogate"] is False
 
 
 class TestCountsCsv:
