@@ -82,6 +82,7 @@ from .activation import (
     activation_filters,
     activation_witness,
     apply_activation,
+    evaluate_activation,
     jam_check,
     pair_product,
     search_activator,

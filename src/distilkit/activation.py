@@ -12,12 +12,12 @@ computational product basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import linalg, states
-from .distillability import FilterPair
+from .distillability import VIOLATION_TOL, FilterPair, apply_filter_pair, filter_ratio
 from .errors import NumericalError, ParameterError
 from .states import BipartiteState, phi_projector
 
@@ -61,22 +61,18 @@ def activation_filters(d: int) -> FilterPair:
     return FilterPair(a, a.copy())
 
 
-def _joint_cut(instance: ActivationInstance) -> np.ndarray:
-    """rho (x) sigma reordered to (A1 A2A3 | B1 B2B3)."""
+def _joint_state(instance: ActivationInstance) -> BipartiteState:
+    """rho (x) sigma as one pair (A1 A2A3 | B1 B2B3) of local dimension 2d^2."""
     d = instance.d
     raw = np.kron(instance.rho.data, instance.sigma.data)  # A1 B1 (A2A3) (B2B3)
-    return linalg.permute_factors(raw, (d, d, 2 * d, 2 * d), (0, 2, 1, 3))
+    joint = linalg.permute_factors(raw, (d, d, 2 * d, 2 * d), (0, 2, 1, 3))
+    return BipartiteState(joint, 2 * d * d, 2 * d * d)
 
 
 def apply_activation(instance: ActivationInstance) -> tuple[np.ndarray, float]:
-    """Post-selected two-qubit operator (unnormalized) and its success weight."""
-    fp = activation_filters(instance.d)
-    op = np.kron(fp.A, fp.B)
-    out = op @ _joint_cut(instance) @ linalg.dagger(op)
-    weight = float(np.trace(out).real)
-    if weight <= 1e-14:
-        raise NumericalError("degenerate post-selection: the projection annihilates the state")
-    return out, weight
+    """Post-selected two-qubit operator (unnormalized) and its success weight;
+    NumericalError when the projection annihilates the state."""
+    return apply_filter_pair(_joint_state(instance), activation_filters(instance.d))
 
 
 def _sigma_pairing_operator(rho: BipartiteState, z: np.ndarray) -> np.ndarray:
@@ -98,10 +94,12 @@ def jam_check(
 ) -> tuple[float, float]:
     """Verify tr[(A(x)B)(rho(x)sigma)(A(x)B)^dag Z] = c * tr[sigma (rho^T (x) Z)]
     over random positive Z; returns (c, max relative deviation across Z)."""
+    if trials < 1:
+        raise ParameterError("need trials >= 1")
     rng = np.random.default_rng(seed)
     out, _ = apply_activation(instance)
     ratios = []
-    for _ in range(max(1, trials)):
+    for _ in range(trials):
         z = linalg.random_density(rng, 4) * (1.0 + 3.0 * rng.random())
         num = float(np.real(np.trace(out @ z)))
         den = target_pairing(instance.rho, instance.sigma, z)
@@ -124,13 +122,22 @@ def activation_witness(rho: BipartiteState, sigma: BipartiteState) -> float:
     return target_pairing(rho, sigma, z)
 
 
+def evaluate_activation(rho: BipartiteState, sigma: BipartiteState) -> tuple[float, float, float]:
+    """(witness, filtered phi_2 fidelity, success weight) of activator rho on target
+    sigma; the fidelity exceeds 1/2 exactly when the witness is negative.
+    NumericalError when the projection annihilates the state."""
+    witness = activation_witness(rho, sigma)
+    instance = ActivationInstance(rho, sigma, rho.dimA)
+    overlap, weight = filter_ratio(_joint_state(instance), activation_filters(instance.d))
+    return witness, overlap / weight, weight
+
+
 @dataclass
 class ActivationSearchReport:
-    rho: Optional[BipartiteState]
+    rho: BipartiteState
     witness: float
     fidelity: Optional[float]
     success_weight: Optional[float]
-    c: Optional[float]
     budget_exhausted: bool
     candidates: int
 
@@ -139,80 +146,56 @@ class ActivationSearchReport:
             "witness": float(self.witness),
             "fidelity": None if self.fidelity is None else float(self.fidelity),
             "success_weight": None if self.success_weight is None else float(self.success_weight),
-            "rho": None if self.rho is None else states.state_to_dict(self.rho),
-            "c": None if self.c is None else float(self.c),
+            "rho": states.state_to_dict(self.rho),
             "budget_exhausted": bool(self.budget_exhausted),
             "candidates": int(self.candidates),
         }
 
 
-def default_candidates(d: int, seed: Optional[int], best_cb) -> Iterable[BipartiteState]:
-    """Maximally entangled, isotropic sweep, Werner sweep, random draws, then
-    local perturbations of the best candidate so far (via ``best_cb``)."""
-    yield BipartiteState(phi_projector(d), d, d)
-    for p in np.linspace(0.2, 1.0, 9):
-        yield states.isotropic_state(d, float(p))
-    for p in np.linspace(0.2, 1.0, 9):
-        yield states.werner_state(d, float(p))
-    rng = np.random.default_rng(seed)
-    step = 0.2
-    while True:
-        base = best_cb()
-        if base is None or rng.random() < 0.5:
-            yield BipartiteState(linalg.random_density(rng, d * d), d, d)
-        else:
-            cand = linalg.psd_project(base.data + step * linalg.random_hermitian(rng, d * d))
-            tr = np.trace(cand).real
-            if tr < 1e-12:
-                continue
-            yield BipartiteState(cand / tr, d, d)
-
-
 def search_activator(
     sigma: BipartiteState,
-    candidate_generator: Optional[Callable[[], Iterable[BipartiteState]]] = None,
     budget: int = 2000,
     seed: Optional[int] = None,
 ) -> ActivationSearchReport:
     """Scan candidate activators for the most negative activation witness.
 
-    Never claims nonexistence: if no negative witness shows up within the
-    budget the report only notes that the budget is exhausted.
+    Candidates: the maximally entangled state, isotropic and Werner sweeps,
+    then random draws and local perturbations of the best candidate so far,
+    half each.  Never claims nonexistence: if no negative witness shows up
+    within the budget the report only notes that the budget is exhausted.
     """
+    if budget < 1:
+        raise ParameterError("need budget >= 1")
     if sigma.dimA != sigma.dimB or sigma.dimA % 2 != 0:
         raise ParameterError("target local dimension must be even (d x 2 per side)")
+    if not np.isfinite(sigma.data).all():  # a NaN witness never becomes the best
+        raise ParameterError("target entries must be finite")
     d = sigma.dimA // 2
-    best: Optional[BipartiteState] = None
-    best_val = np.inf
-
-    def best_cb():
-        return best
-
-    gen = candidate_generator() if candidate_generator is not None else \
-        default_candidates(d, seed, best_cb)
-
-    tried = 0
-    for rho in gen:
-        if tried >= budget:
-            break
+    sweep = [BipartiteState(phi_projector(d), d, d)] + [
+        make(d, float(p)) for make in (states.isotropic_state, states.werner_state)
+        for p in np.linspace(0.2, 1.0, 9)]
+    rng = np.random.default_rng(seed)
+    best, best_val, tried = None, np.inf, 0
+    while tried < budget:
+        if tried < len(sweep):
+            rho = sweep[tried]
+        elif rng.random() < 0.5:
+            rho = BipartiteState(linalg.random_density(rng, d * d), d, d)
+        else:
+            cand = linalg.psd_project(best.data + 0.2 * linalg.random_hermitian(rng, d * d))
+            tr = np.trace(cand).real
+            if tr < 1e-12:
+                continue
+            rho = BipartiteState(cand / tr, d, d)
         tried += 1
         val = activation_witness(rho, sigma)
         if val < best_val:
             best_val, best = val, rho
 
-    if best is None:
-        return ActivationSearchReport(None, np.inf, None, None, None, True, tried)
-
-    instance = ActivationInstance(best, sigma, d)
-    fidelity = None
-    weight = None
-    c_val = None
     try:
-        out, weight = apply_activation(instance)
-        fidelity = float(np.real(np.trace(out @ phi_projector(2)))) / weight
-        c_val, _ = jam_check(instance, trials=8, seed=seed)
+        _, fidelity, weight = evaluate_activation(best, sigma)
     except NumericalError:
-        pass
-    found = best_val < -1e-9
-    return ActivationSearchReport(best, float(best_val), fidelity, weight, c_val,
-                                  budget_exhausted=not found, candidates=tried)
+        fidelity = weight = None
+    return ActivationSearchReport(best, float(best_val), fidelity, weight,
+                                  budget_exhausted=not best_val < -VIOLATION_TOL,
+                                  candidates=tried)

@@ -111,8 +111,12 @@ def cmd_f2(args) -> int:
 
 def cmd_fd(args) -> int:
     state = states.load_state(args.state)
+    if args.D < 2:
+        raise ParameterError("need D >= 2")
     lam = args.lam if args.lam is not None else 1.0 / args.D
-    rep = distillability.fD(state, args.D, lam, restarts=args.restarts,
+    if not 1.0 / args.D <= lam < 1.0:
+        raise ParameterError(f"lambda must lie in [1/{args.D}, 1)")
+    rep = distillability.fD(state, args.D, restarts=args.restarts,
                             iters=args.iters, seed=args.seed)
     payload = rep.to_dict()
     payload["D"] = args.D
@@ -195,14 +199,9 @@ def cmd_tomo_frame(args) -> int:
     return EXIT_OK
 
 
-def _default_frame(state: BipartiteState) -> tomography.Frame:
-    return tomography.product_frame(
-        tomography.minimal_ic_povm(state.dimA), tomography.minimal_ic_povm(state.dimB))
-
-
 def cmd_tomo_sim(args) -> int:
     state = states.load_state(args.state)
-    frame = _default_frame(state)
+    frame = tomography.local_frame(state)
     counts = tomography.simulate_measurements(state, frame, args.shots, args.seed)
     if (args.format or "csv") == "csv":
         _write_csv(args, ["outcome_index", "count"],
@@ -229,8 +228,8 @@ def cmd_tomo_pipeline(args) -> int:
 
 def cmd_chernoff(args) -> int:
     bound = tomography.chernoff_tail(args.delta, args.n, args.cardinality)
-    _write_json(args, {"reported": bound.reported, "raw": bound.raw,
-                       "exponent": bound.exponent})
+    raw = bound.raw if np.isfinite(bound.raw) else None  # JSON has no Infinity
+    _write_json(args, {"reported": bound.reported, "raw": raw, "exponent": bound.exponent})
     print(_fmt(bound.reported))
     return EXIT_OK
 
@@ -238,14 +237,10 @@ def cmd_chernoff(args) -> int:
 def cmd_activate_check(args) -> int:
     rho = states.load_state(args.rho)
     sigma = states.load_state(args.sigma)
-    witness = activation.activation_witness(rho, sigma)
-    inst = activation.ActivationInstance(rho, sigma, rho.dimA)
-    out, weight = activation.apply_activation(inst)
-    fidelity = float(np.real(np.trace(out @ states.phi_projector(2)))) / weight
-    c, _ = activation.jam_check(inst, trials=8, seed=args.seed)
+    witness, fidelity, weight = activation.evaluate_activation(rho, sigma)
     _write_json(args, {"witness": witness, "fidelity": fidelity,
-                       "success_weight": weight, "rho": states.state_to_dict(rho), "c": c}, structured=True)
-    found = witness < -1e-9
+                       "success_weight": weight, "rho": states.state_to_dict(rho)}, structured=True)
+    found = witness < -distillability.VIOLATION_TOL
     print(f"witness={_fmt(witness)} fidelity={_fmt(fidelity)} activated={found}")
     return EXIT_VERDICT if found else EXIT_OK
 
@@ -361,8 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("state", cmd_state, help="construct a named-family state")
-    p.add_argument("--family", required=True,
-                   choices=[f.value for f in Family if f is not Family.EXPLICIT])
+    p.add_argument("--family", required=True, choices=[f.value for f in Family])
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--dB", type=int, default=None)

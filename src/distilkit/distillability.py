@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg, states, symmetry
-from .errors import OptimizationError, ParameterError
+from .errors import NumericalError, OptimizationError, ParameterError
 from .states import BipartiteState, phi_projector, to_global_cut
 
 #: see-saw defaults (converge on all two-qubit benchmarks well under a second)
@@ -22,7 +22,8 @@ DEFAULT_RESTARTS = 32
 DEFAULT_ITERS = 500
 DEFAULT_TOL = 1e-9
 
-#: denominator regularization for the generalized eigenproblem
+#: denominator regularization for the generalized eigenproblem; a post-selection
+#: whose success weight does not exceed it is degenerate
 DENOM_REG = 1e-14
 
 #: an expectation below this counts as a violation certificate
@@ -39,14 +40,6 @@ class FilterPair:
     def __post_init__(self):
         object.__setattr__(self, "A", np.asarray(self.A, dtype=complex))
         object.__setattr__(self, "B", np.asarray(self.B, dtype=complex))
-
-    def validate(self, max_norm: float = 1.0 + 1e-9) -> None:
-        for name, op in (("A", self.A), ("B", self.B)):
-            nrm = np.linalg.norm(op, 2)
-            if nrm < 1e-14:
-                raise ParameterError(f"filter {name} is the zero operator")
-            if nrm > max_norm:
-                raise ParameterError(f"filter {name} has operator norm {nrm} > {max_norm}")
 
     def normalized(self) -> "FilterPair":
         return FilterPair(self.A / np.linalg.norm(self.A, 2), self.B / np.linalg.norm(self.B, 2))
@@ -92,21 +85,26 @@ def _cut_dims(state: BipartiteState) -> tuple[int, int]:
     return state.dimA ** state.pairs, state.dimB ** state.pairs
 
 
-def apply_filter_pair(state: BipartiteState, fp: FilterPair) -> np.ndarray:
-    """(A (x) B) rho (A (x) B)^dag across the aggregated A|B cut (unnormalized)."""
+def apply_filter_pair(state: BipartiteState, fp: FilterPair) -> tuple[np.ndarray, float]:
+    """(A (x) B) rho (A (x) B)^dag across the aggregated A|B cut (unnormalized) and
+    its trace, the success weight.  A weight not above ``DENOM_REG`` is a degenerate
+    post-selection and raises NumericalError."""
     dA, dB = _cut_dims(state)
     if fp.A.shape[1] != dA or fp.B.shape[1] != dB:
         raise ParameterError("filter shapes do not match the state's A|B cut")
     op = np.kron(fp.A, fp.B)
-    return op @ to_global_cut(state) @ linalg.dagger(op)
+    out = op @ to_global_cut(state) @ linalg.dagger(op)
+    weight = float(np.trace(out).real)
+    if not weight > DENOM_REG:
+        raise NumericalError("degenerate post-selection: the filters annihilate the state")
+    return out, weight
 
 
 def filter_ratio(state: BipartiteState, fp: FilterPair) -> tuple[float, float]:
-    """(overlap with phi_t, success weight) of the filtered state; t from filter rows."""
-    t = fp.A.shape[0]
-    out = apply_filter_pair(state, fp)
-    weight = float(np.trace(out).real)
-    overlap = float(np.real(np.trace(out @ phi_projector(t))))
+    """(overlap with phi_t, success weight) of the filtered state; t from filter rows.
+    Their ratio is the phi_t fidelity of the post-selected state."""
+    out, weight = apply_filter_pair(state, fp)
+    overlap = float(np.real(np.trace(out @ phi_projector(fp.A.shape[0]))))
     return overlap, weight
 
 
@@ -130,10 +128,6 @@ def _rayleigh_step(rho4: np.ndarray, other: np.ndarray, t: int, side: str) -> tu
     w, v = scipy.linalg.eigh(num, den)
     new = v[:, -1].reshape(t, d_loc)
     return new / np.linalg.norm(new, 2), float(w[-1])
-
-
-class _DegenerateRestart(Exception):
-    """Raised when a restart's filters annihilate the state."""
 
 
 def _seesaw_restart(rho4, t, init, iters, tol):
@@ -196,14 +190,11 @@ def _fd_seesaw(
             init = rank1_floor()
         else:
             init = random_filters(r)
-        for _ in range(4):  # degenerate denominators restart with fresh filters
+        for _ in range(4):  # degenerate starts restart with fresh filters
             try:
-                fp = FilterPair(*init)
-                _, weight = filter_ratio(state, fp)
-                if weight < DENOM_REG:
-                    raise _DegenerateRestart
+                apply_filter_pair(state, FilterPair(*init))
                 return _seesaw_restart(rho4, t, init, iters, tol)
-            except (_DegenerateRestart, np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+            except (NumericalError, np.linalg.LinAlgError):
                 init = random_filters(r)
         return None
 
@@ -213,8 +204,11 @@ def _fd_seesaw(
 
     best_val = max(val for val, _ in results)
     chosen_val, fp = next(r for r in results if r[0] >= best_val - 1e-12)
-    overlap, weight = filter_ratio(state, fp)
-    value = overlap / weight if weight > DENOM_REG else chosen_val
+    try:
+        overlap, weight = filter_ratio(state, fp)
+        value = overlap / weight
+    except NumericalError:
+        value = chosen_val
     return WitnessReport(value=float(value), certificate=fp, budget_exhausted=False,
                          seed=seed, restarts=restarts)
 
@@ -239,21 +233,14 @@ def f2(
 def fD(
     state: BipartiteState,
     D: int,
-    lam: Optional[float] = None,
     restarts: int = DEFAULT_RESTARTS,
     iters: int = DEFAULT_ITERS,
     seed: Optional[int] = None,
     tol: float = DEFAULT_TOL,
 ) -> WitnessReport:
-    """Lower bound on the filtered phi_D fraction (target of output dimension D).
-
-    ``lam`` is the threshold the caller wants to beat (in [1/D, 1)); it is
-    recorded for verdicts only, the optimization is threshold-free.
-    """
+    """Lower bound on the filtered phi_D fraction (target of output dimension D)."""
     if D < 2:
         raise ParameterError("need D >= 2")
-    if lam is not None and not (1.0 / D <= lam < 1.0):
-        raise ParameterError(f"lambda must lie in [1/{D}, 1)")
     return _fd_seesaw(state, D, restarts, iters, tol, seed)
 
 
@@ -295,12 +282,14 @@ def single_copy_distillable(
     distillability certificate; otherwise the verdict is only "no violation
     found within budget".
     """
+    if budget < 1:
+        raise ParameterError("need budget >= 1")
     dA, dB = _cut_dims(state)
     pt4 = _global_cut_pt(state)
 
     rng = np.random.default_rng(seed)
     best_val, best_vec = np.inf, None
-    for attempt in range(max(1, budget)):
+    for attempt in range(budget):
         fbasis = linalg.random_isometry_cols(rng, dB, min(2, dB))
         val, vec = np.inf, None
         for _ in range(iters):
@@ -323,7 +312,7 @@ def single_copy_distillable(
             return WitnessReport(float(best_val), best_vec, budget_exhausted=False,
                                  seed=seed, restarts=attempt + 1)
     return WitnessReport(float(best_val), best_vec, budget_exhausted=True,
-                         seed=seed, restarts=max(1, budget))
+                         seed=seed, restarts=budget)
 
 
 def n_copy_distillable(

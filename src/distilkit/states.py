@@ -85,7 +85,6 @@ class Family(str, Enum):
     PRODUCT_PURE = "product_pure"
     RANDOM_MIXED = "random_mixed"
     RANDOM_PPT = "random_ppt"
-    EXPLICIT = "explicit"
 
 
 @dataclass(frozen=True)
@@ -176,7 +175,7 @@ def _random_ppt(rng: np.random.Generator, d: int, cap: int) -> BipartiteState:
 def construct_state(spec: StateFamilySpec, seed: Optional[int] = None) -> BipartiteState:
     """Build a named-family state; ``seed`` is required for the random families."""
     d, params = spec.d, spec.params
-    if d < 2 and spec.family is not Family.EXPLICIT:
+    if d < 2:
         raise ParameterError("local dimension must be >= 2")
     fam = Family(spec.family)
     if fam in (Family.RANDOM_MIXED, Family.RANDOM_PPT) and seed is None:
@@ -208,17 +207,6 @@ def construct_state(spec: StateFamilySpec, seed: Optional[int] = None) -> Bipart
         return BipartiteState(linalg.random_density(rng, d * dB), d, dB)
     if fam is Family.RANDOM_PPT:
         return _random_ppt(rng, d, int(params.get("attempt_cap", PPT_ATTEMPT_CAP)))
-    if fam is Family.EXPLICIT:
-        matrix = params.get("matrix")
-        if matrix is None:
-            raise ParameterError("explicit family needs params['matrix']")
-        dimA = int(params.get("dimA", d))
-        dimB = int(params.get("dimB", d))
-        pairs = int(params.get("pairs", 1))
-        report = validate_state(np.asarray(matrix, dtype=complex), dimA, dimB, pairs)
-        if not report.ok:
-            raise ParameterError(f"explicit matrix is not a valid state: {report.violations}")
-        return report.state
     raise ParameterError(f"unknown family {spec.family!r}")
 
 
@@ -358,10 +346,12 @@ def state_to_dict(state: BipartiteState) -> dict:
 
 def state_from_dict(payload: dict) -> BipartiteState:
     try:
-        dimA, dimB, pairs = int(payload["dimA"]), int(payload["dimB"]), int(payload["pairs"])
+        dimA, dimB, pairs = payload["dimA"], payload["dimB"], payload["pairs"]
         entries = payload["matrix"]
     except (KeyError, TypeError) as exc:
         raise ParameterError(f"malformed state payload: {exc}") from exc
+    if not all(type(n) is int for n in (dimA, dimB, pairs)):
+        raise ParameterError("dimA, dimB and pairs must be JSON integers")
     dim = (dimA * dimB) ** pairs
     flat = decode_complex(entries, dim * dim)
     report = validate_state(flat.reshape(dim, dim), dimA, dimB, pairs)

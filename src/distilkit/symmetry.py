@@ -51,7 +51,7 @@ class Ensemble:
         w = np.asarray(self.weights, dtype=float)
         if len(self.members) != w.size or w.size == 0:
             raise ParameterError("need one weight per member")
-        if w.min() < -states.EXACT_TOL or abs(w.sum() - 1.0) > states.EXACT_TOL:
+        if not (w.min() >= -states.EXACT_TOL and abs(w.sum() - 1.0) <= states.EXACT_TOL):
             raise ParameterError("weights must be nonnegative and sum to 1")
         dims = {(s.dimA, s.dimB, s.pairs) for s in self.members}
         if len(dims) != 1 or next(iter(dims))[2] != 1:
@@ -349,6 +349,8 @@ def ensemble_from_dict(payload: dict) -> Ensemble:
         raw_members = payload["members"]
     except (KeyError, TypeError) as exc:
         raise ParameterError(f"malformed ensemble payload: {exc}") from exc
+    if not isinstance(weights, list) or not all(type(w) in (int, float) for w in weights):
+        raise ParameterError("ensemble weights must be a list of JSON numbers")
     members = []
     for item in raw_members:
         if isinstance(item, str):

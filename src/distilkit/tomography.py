@@ -125,6 +125,11 @@ def product_frame(a: Frame, b: Frame) -> Frame:
     return Frame(a.dim * b.dim, tuple(frozen), duals)
 
 
+def local_frame(state: BipartiteState) -> Frame:
+    """Product of the minimal IC-POVMs on A and on B: the frame for one pair of ``state``."""
+    return product_frame(minimal_ic_povm(state.dimA), minimal_ic_povm(state.dimB))
+
+
 def born_probabilities(state: BipartiteState, frame: Frame) -> np.ndarray:
     """Outcome distribution tr[M_k rho], clipped of tiny negatives and renormalized."""
     if frame.dim != state.dim:
@@ -289,7 +294,6 @@ def estimation_pipeline(
     m_shots: int = 10_000,
     budget: int = 20,
     seed: Optional[int] = None,
-    frame: Optional[Frame] = None,
 ) -> PipelineReport:
     """Measure, reconstruct, project, decide, and (when distillable) filter.
 
@@ -308,10 +312,7 @@ def estimation_pipeline(
         marginal = source.average()
     else:
         marginal = source if source.pairs == 1 else states.partial_trace(source, {1})
-    if frame is None:
-        fa = minimal_ic_povm(marginal.dimA)
-        fb = minimal_ic_povm(marginal.dimB)
-        frame = product_frame(fa, fb)
+    frame = local_frame(marginal)
 
     rng = np.random.default_rng(seed)
     sample_seed, distill_seed = (int(s) for s in rng.integers(0, 2 ** 63 - 1, size=2))
@@ -333,8 +334,6 @@ def estimation_pipeline(
         dA, dB = marginal.dimA ** n, marginal.dimB ** n
         fp = distillability.schmidt_rank2_filters(verdict_report.certificate, dA, dB).normalized()
         overlap, weight = _stage("evaluation", distillability.filter_ratio, power, fp)
-        if weight < 1e-14:
-            raise NumericalError("[stage=evaluation] degenerate post-selection")
         f_m = 0.5 - overlap / weight
         verdict = "distillable"
         certificate = fp

@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import distilkit as dk
 from distilkit import linalg
@@ -132,6 +133,11 @@ class TestJamCheck:
         den = dk.activation.target_pairing(rho, sigma, np.eye(4))
         assert abs(weight / den - c) < 1e-9
 
+    def test_trials_below_one_rejected(self, rng):
+        inst = dk.ActivationInstance(random_state(rng, 2, 2), random_state(rng, 4, 4), 2)
+        with pytest.raises(ParameterError, match="trials"):
+            dk.jam_check(inst, trials=0)
+
     def test_scaling_probe_invariance(self, rng):
         d = 2
         rho = random_state(rng, d, d)
@@ -142,6 +148,30 @@ class TestJamCheck:
         r1 = np.real(np.trace(out @ z)) / dk.activation.target_pairing(rho, sigma, z)
         r3 = np.real(np.trace(out @ (3 * z))) / dk.activation.target_pairing(rho, sigma, 3 * z)
         assert abs(r1 - r3) < 1e-12
+
+
+class TestEvaluateActivation:
+    @pytest.mark.parametrize("d", [2, 3])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_identity_route(self, d, seed):
+        # weight = tr[sigma (rho^T (x) I)], fidelity = tr[sigma (rho^T (x) phi_2)] / weight,
+        # computed on the target's side without forming the filtered state
+        rng = np.random.default_rng(seed)
+        rho = random_state(rng, d, d)
+        sigma = random_state(rng, 2 * d, 2 * d)
+        witness, fidelity, weight = dk.evaluate_activation(rho, sigma)
+        ref_weight = dk.activation.target_pairing(rho, sigma, np.eye(4))
+        ref_fidelity = dk.activation.target_pairing(rho, sigma, PHI2) / ref_weight
+        assert abs(weight - ref_weight) < 1e-12
+        assert abs(fidelity - ref_fidelity) < 1e-12
+        assert witness == dk.activation_witness(rho, sigma)
+
+    def test_degenerate_postselection_raises(self):
+        rho = dk.construct_state(dk.StateFamilySpec(dk.Family.PRODUCT_PURE, 2, {"i": 0, "j": 1}))
+        sigma = dk.pair_product(phi_state(2), phi_state(2))
+        with pytest.raises(NumericalError, match="degenerate post-selection"):
+            dk.evaluate_activation(rho, sigma)
 
 
 class TestActivationWitness:
@@ -223,9 +253,29 @@ class TestSearchActivator:
         assert rep.budget_exhausted
         assert rep.witness >= -1e-9
 
+    def test_degenerate_best_candidate_reports_no_fidelity(self):
+        # target |01><01| (x) |01><01|: every witness is rho_{01,01} / 2 >= 0, the first
+        # candidate phi_2 attains 0, and its projection annihilates the target
+        ket01 = dk.construct_state(dk.StateFamilySpec(dk.Family.PRODUCT_PURE, 2, {"i": 0, "j": 1}))
+        rep = dk.search_activator(dk.pair_product(ket01, ket01), budget=40, seed=0)
+        assert np.array_equal(rep.rho.data, phi_state(2).data)
+        assert rep.witness == 0.0 and rep.budget_exhausted
+        assert rep.fidelity is None and rep.success_weight is None
+        assert rep.to_dict()["fidelity"] is None
+
+    def test_budget_below_one_rejected(self):
+        sigma = dk.pair_product(phi_state(2), phi_state(2))
+        with pytest.raises(ParameterError, match="budget"):
+            dk.search_activator(sigma, budget=0)
+
+    def test_non_finite_target_rejected(self):
+        sigma = dk.BipartiteState(np.full((16, 16), np.nan), 4, 4)
+        with pytest.raises(ParameterError, match="finite"):
+            dk.search_activator(sigma, budget=30, seed=0)
+
     def test_report_serializable(self):
         d = 2
         sigma = dk.pair_product(phi_state(d), phi_state(2))
         rep = dk.search_activator(sigma, budget=3, seed=1)
         payload = rep.to_dict()
-        assert set(payload) >= {"witness", "fidelity", "success_weight", "rho", "c"}
+        assert set(payload) >= {"witness", "fidelity", "success_weight", "rho"}

@@ -11,9 +11,14 @@ from distilkit import tomography
 from distilkit.cli import run
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def read_json(path):
+    """Parse an artifact as RFC 8259 JSON: NaN, Infinity and -Infinity are errors."""
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 def read_sweep_csv(path):
@@ -71,6 +76,17 @@ class TestStateAndVerdicts:
         assert run(["fd", "--state", str(spath), "--D", "3", "--lam", "0.9",
                     "--restarts", "6", "--seed", "2"]) == 1
 
+    @pytest.mark.parametrize("lam", ["0.1", "1.0"])
+    def test_fd_lambda_out_of_range_is_usage_error(self, capsys, tmp_path, lam):
+        spath = tmp_path / "phi.json"
+        run(["state", "--family", "max_entangled", "--d", "3", "--out", str(spath)])
+        assert run(["fd", "--state", str(spath), "--D", "3", "--lam", lam]) == 2
+        assert "lambda must lie in [1/3, 1)" in capsys.readouterr().err
+
+    def test_fd_dimension_below_two_is_usage_error(self, capsys, werner_file):
+        assert run(["fd", "--state", werner_file, "--D", "0"]) == 2
+        assert "need D >= 2" in capsys.readouterr().err
+
 
 class TestScalarCommands:
     def test_definetti_bound_prints_value(self, capsys):
@@ -84,6 +100,45 @@ class TestScalarCommands:
         assert run(["chernoff", "--delta", "0.1", "--n", "1000000",
                     "--cardinality", "16"]) == 0
         assert capsys.readouterr().out.strip() == "0"
+
+    def test_chernoff_overflow_writes_null(self, tmp_path):
+        out = tmp_path / "c.json"
+        assert run(["chernoff", "--delta", "0.001", "--n", "1000000", "--cardinality", "100",
+                    "--out", str(out)]) == 0
+        payload = read_json(out)
+        assert payload["raw"] is None and payload["reported"] == 1.0
+
+    @pytest.mark.parametrize("verb", [["undistill1", "--state", "S", "--budget", "0"],
+                                      ["ncopy", "--state", "S", "--n", "2", "--budget", "0"],
+                                      ["jam-check", "--rho", "S", "--sigma", "T", "--trials", "0"]])
+    def test_budget_below_one_is_usage_error(self, capsys, tmp_path, werner_file, verb):
+        target = tmp_path / "t.json"
+        dk.save_state(dk.BipartiteState(np.eye(16) / 16, 4, 4), target)
+        out = tmp_path / "o.json"
+        argv = [{"S": werner_file, "T": str(target)}.get(a, a) for a in verb]
+        capsys.readouterr()  # drop the fixture's summary line
+        assert run(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and ">= 1" in captured.err and not out.exists()
+
+    @pytest.mark.parametrize("field,value", [("dimA", 2.9), ("dimB", "2"), ("pairs", True)])
+    def test_non_integer_state_dimensions_are_usage_errors(self, capsys, tmp_path, field, value):
+        payload = dk.states.state_to_dict(dk.werner_state(2, 0.3))
+        payload[field] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        assert run(["ppt", "--state", str(path)]) == 2
+        assert "must be JSON integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weight", ["0.5", True])
+    def test_non_numeric_ensemble_weight_is_usage_error(self, capsys, tmp_path, weight):
+        payload = dk.symmetry.ensemble_to_dict(
+            dk.Ensemble((0.5, 0.5), (dk.werner_state(2, 0.2), dk.werner_state(2, 0.9))))
+        payload["weights"][0] = weight
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps(payload))
+        assert run(["mixpow", "--ensemble", str(path), "--k", "2"]) == 2
+        assert "must be a list of JSON numbers" in capsys.readouterr().err
 
     def test_unknown_option_rejected(self):
         assert run(["definetti-bound", "--d", "2", "--k", "1", "--n", "100",
@@ -231,6 +286,42 @@ class TestActivationCommands:
         dk.save_state(sigma, sig)
         assert run(["activate-check", "--rho", str(rho), "--sigma", str(sig),
                     "--seed", "2"]) == 1
+
+    def test_activation_artifacts_carry_no_constant(self, tmp_path):
+        phi2 = dk.construct_state(dk.StateFamilySpec(dk.Family.MAX_ENTANGLED, 2))
+        rho, sig = tmp_path / "r.json", tmp_path / "s.json"
+        dk.save_state(phi2, rho)
+        dk.save_state(dk.pair_product(phi2, phi2), sig)
+        check, search = tmp_path / "check.json", tmp_path / "search.json"
+        assert run(["activate-check", "--rho", str(rho), "--sigma", str(sig),
+                    "--out", str(check)]) == 1
+        assert run(["activate-search", "--sigma", str(sig), "--budget", "3",
+                    "--out", str(search)]) == 1
+        for path in (check, search):
+            payload = read_json(path)
+            assert abs(payload["fidelity"] - 1.0) < 1e-12
+            assert "c" not in payload
+
+    def test_activate_check_degenerate_postselection_is_numeric_error(self, capsys, tmp_path):
+        # rho = |01><01| is orthogonal to the projection's phi_2 on A1A2 | B1B2
+        phi2 = dk.construct_state(dk.StateFamilySpec(dk.Family.MAX_ENTANGLED, 2))
+        rho = dk.construct_state(dk.StateFamilySpec(dk.Family.PRODUCT_PURE, 2, {"i": 0, "j": 1}))
+        rpath, spath, out = tmp_path / "r.json", tmp_path / "s.json", tmp_path / "a.json"
+        dk.save_state(rho, rpath)
+        dk.save_state(dk.pair_product(phi2, phi2), spath)
+        assert run(["activate-check", "--rho", str(rpath), "--sigma", str(spath),
+                    "--out", str(out)]) == 3
+        assert "degenerate post-selection" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_activate_search_budget_below_one_is_usage_error(self, capsys, tmp_path):
+        phi2 = dk.construct_state(dk.StateFamilySpec(dk.Family.MAX_ENTANGLED, 2))
+        sig, out = tmp_path / "s.json", tmp_path / "a.json"
+        dk.save_state(dk.pair_product(phi2, phi2), sig)
+        assert run(["activate-search", "--sigma", str(sig), "--budget", "0",
+                    "--out", str(out)]) == 2
+        assert "need budget >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweep:

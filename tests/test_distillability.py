@@ -99,6 +99,15 @@ class TestF2:
         with pytest.raises(ParameterError):
             dk.f2(phi_state(), restarts=0)
 
+    def test_annihilating_first_start_restarts(self):
+        # |22><22| lies outside the embedding start's span{0, 1} (x) span{0, 1}; the
+        # restart draws fresh filters and reaches the product-state value 1/2
+        state = dk.construct_state(dk.StateFamilySpec(dk.Family.PRODUCT_PURE, 3, {"i": 2, "j": 2}))
+        with pytest.raises(dk.NumericalError, match="degenerate post-selection"):
+            dk.distillability.apply_filter_pair(state, FilterPair(np.eye(2, 3), np.eye(2, 3)))
+        rep = dk.f2(state, restarts=1, seed=0)
+        assert abs(rep.value - 0.5) < 1e-9
+
     def test_deterministic_given_seed(self):
         w = dk.werner_state(2, 0.8)
         v1 = dk.f2(w, restarts=6, seed=9).value
@@ -108,7 +117,7 @@ class TestF2:
 
 class TestFD:
     def test_phi_d_any_lambda(self):
-        rep = dk.fD(phi_state(3), 3, 0.9, restarts=6, seed=2)
+        rep = dk.fD(phi_state(3), 3, restarts=6, seed=2)
         assert abs(rep.value - 1.0) < 1e-9
 
     def test_product_state_hits_separable_ceiling(self):
@@ -123,8 +132,6 @@ class TestFD:
 
     def test_lambda_validation(self):
         with pytest.raises(ParameterError):
-            dk.fD(phi_state(2), 3, lam=0.1)
-        with pytest.raises(ParameterError):
             dk.fD(phi_state(2), 1)
 
 
@@ -134,6 +141,12 @@ class TestSingleCopy:
         assert abs(rep.value + 0.5) < 1e-9
         assert not rep.budget_exhausted
         assert abs(evaluate_schmidt_certificate(phi_state(), rep.certificate) - rep.value) < 1e-9
+
+    def test_budget_below_one_rejected(self):
+        with pytest.raises(ParameterError, match="budget"):
+            dk.single_copy_distillable(phi_state(), budget=0)
+        with pytest.raises(ParameterError, match="budget"):
+            dk.n_copy_distillable(phi_state(), 2, budget=0)
 
     def test_ppt_state_never_violates(self):
         for seed in range(3):

@@ -307,6 +307,14 @@ class TestJson:
         with pytest.raises(ParameterError):
             dk.states.state_from_dict(payload)
 
+    @pytest.mark.parametrize("field", ["dimA", "dimB", "pairs"])
+    @pytest.mark.parametrize("value", [2.9, 2.0, "2", True, None])
+    def test_dimensions_must_be_json_integers(self, field, value):
+        payload = dk.states.state_to_dict(dk.werner_state(2, 0.3))
+        payload[field] = value
+        with pytest.raises(ParameterError, match="JSON integers"):
+            dk.states.state_from_dict(payload)
+
     def test_malformed_file_names_path(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"bad')

@@ -299,6 +299,22 @@ class TestEnsembleJson:
         ens = dk.symmetry.ensemble_from_dict(payload)
         assert np.max(np.abs(ens.members[0].data - s.data)) < 1e-15
 
+    @pytest.mark.parametrize("weights", [["1"], [True], [None], "1", 1.0])
+    def test_weights_must_be_json_numbers(self, rng, weights):
+        payload = {"weights": weights, "members": [dk.states.state_to_dict(random_state(rng, 2, 2))]}
+        with pytest.raises(ParameterError, match="JSON numbers"):
+            dk.symmetry.ensemble_from_dict(payload)
+
+    def test_integer_weights_load(self, rng):
+        payload = {"weights": [1, 0], "members": [dk.states.state_to_dict(random_state(rng, 2, 2))] * 2}
+        assert dk.symmetry.ensemble_from_dict(payload).weights == (1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weights_rejected(self, rng, bad):
+        members = (random_state(rng, 2, 2),) * 2
+        with pytest.raises(ParameterError):
+            dk.Ensemble((bad, 1.0), members)
+
     def test_malformed_file_names_path(self, tmp_path):
         bad = tmp_path / "bad_ens.json"
         bad.write_text('{"weights": [1.0], "members": [')
