@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg, states, symmetry
 from .errors import NumericalError, OptimizationError, ParameterError
@@ -124,9 +123,12 @@ def _rayleigh_step(rho4: np.ndarray, other: np.ndarray, t: int, side: str) -> tu
     d_loc = den_local.shape[0]
     n = t * d_loc
     num = linalg.hermitize(num.reshape(n, n))
-    den = np.kron(np.eye(t), linalg.hermitize(den_local).T) + DENOM_REG * np.eye(n)
-    w, v = scipy.linalg.eigh(num, den)
-    new = v[:, -1].reshape(t, d_loc)
+    # den = I_t (x) chol chol^dag, so one d x d factor whitens the generalized
+    # problem to a standard one (Golub-Van Loan 8.7); LinAlgError if den is not PD
+    chol = np.linalg.cholesky(linalg.hermitize(den_local).T + DENOM_REG * np.eye(d_loc))
+    white = np.kron(np.eye(t), np.linalg.inv(chol))
+    w, v = np.linalg.eigh(white @ num @ linalg.dagger(white))
+    new = (linalg.dagger(white) @ v[:, -1]).reshape(t, d_loc)
     return new / np.linalg.norm(new, 2), float(w[-1])
 
 

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import linalg, states
 from .errors import CapacityError, ParameterError
@@ -174,10 +173,12 @@ def mixture_of_powers(ensemble: Ensemble, k: int, dim_cap: int = DIM_CAP) -> Bip
 # ---------------------------------------------------------------------------
 
 def _realignment_candidates(state: BipartiteState, limit: int) -> list[np.ndarray]:
-    """Member guesses from the k=2 realignment sum_i w_i vec(rho_i) vec(rho_i)^dag."""
+    """Member guesses from the realigned two-pair marginal with its second pair
+    transposed, the Hermitian PSD sum_i w_i vec(rho_i) vec(rho_i)^dag: its top
+    eigenvectors are the members when these are Hilbert-Schmidt orthogonal."""
     m = state.pair_dim
-    r4 = state.data.reshape(m, m, m, m)
-    realigned = r4.transpose(0, 2, 1, 3).reshape(m * m, m * m)
+    two = state if state.pairs == 2 else states.partial_trace(state, {1, 2})
+    realigned = two.data.reshape(m, m, m, m).transpose(0, 2, 3, 1).reshape(m * m, m * m)
     w, v = np.linalg.eigh(linalg.hermitize(realigned))
     out = []
     for idx in np.argsort(w)[::-1][:limit]:
@@ -194,48 +195,41 @@ def _realignment_candidates(state: BipartiteState, limit: int) -> list[np.ndarra
     return out
 
 
+#: weight-step iteration cap; it stops early once no weight moves by WEIGHT_TOL
+WEIGHT_ITERS = 500
+WEIGHT_TOL = 1e-15
+
+
+def _simplex_projection(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto the probability simplex (Duchi et al., ICML 2008)."""
+    u = np.sort(v)[::-1]
+    css = u.cumsum() - 1.0
+    r = np.count_nonzero(u * np.arange(1, v.size + 1) > css)
+    return np.maximum(v - css[r - 1] / r, 0.0)
+
+
 def _weight_step(target: np.ndarray, powers: list[np.ndarray], w0: np.ndarray) -> np.ndarray:
-    """Convex step: minimize the mixture mismatch over the probability simplex.
-
-    A smooth Frobenius solve (exact when an exact representation exists)
-    followed by a trace-norm polish.
-    """
-    n = len(powers)
+    """Convex step: least-squares fit of the mixture to the target over the
+    probability simplex, by accelerated projected gradient with adaptive restart
+    started from ``w0``.  The projection ignores shifts along (1, ..., 1), so the
+    step is 1/lambda_max of the Gram matrix restricted to sum-zero directions."""
     stack = np.stack([linalg.vec(p) for p in powers])
-
-    def frob(w):
-        diff = linalg.vec(target) - stack.T @ w
-        return float(np.real(diff.conj() @ diff))
-
-    def frob_grad(w):
-        diff = linalg.vec(target) - stack.T @ w
-        return -2.0 * np.real(stack.conj() @ diff)
-
-    cons = ({"type": "eq", "fun": lambda w: w.sum() - 1.0, "jac": lambda w: np.ones(n)},)
-    bounds = [(0.0, 1.0)] * n
-    res = optimize.minimize(frob, w0, jac=frob_grad, bounds=bounds, constraints=cons,
-                            method="SLSQP", options={"maxiter": 300, "ftol": 1e-16})
-    w = np.clip(res.x, 0.0, None)
-    w /= w.sum()
-
-    dim = target.shape[0]
-
-    def tnorm(wv):
-        diff = target - np.tensordot(wv, stack, axes=(0, 0)).reshape(dim, dim)
-        return 0.5 * linalg.trace_norm(diff)
-
-    def tnorm_grad(wv):
-        diff = linalg.hermitize(target - np.tensordot(wv, stack, axes=(0, 0)).reshape(dim, dim))
-        ew, ev = np.linalg.eigh(diff)
-        sgn = (ev * np.sign(ew)) @ ev.conj().T
-        return np.array([-0.5 * np.real(np.trace(p @ sgn)) for p in
-                         [s.reshape(dim, dim) for s in stack]])
-
-    res2 = optimize.minimize(tnorm, w, jac=tnorm_grad, bounds=bounds, constraints=cons,
-                             method="SLSQP", options={"maxiter": 120, "ftol": 1e-14})
-    if res2.success and tnorm(np.clip(res2.x, 0, None) / max(res2.x.sum(), 1e-300)) <= tnorm(w):
-        w = np.clip(res2.x, 0.0, None)
-        w /= w.sum()
+    gram = np.real(stack.conj() @ stack.T)
+    rhs = np.real(stack.conj() @ linalg.vec(target))
+    lam = np.linalg.eigvalsh(gram - gram.mean(0) - gram.mean(1)[:, None] + gram.mean())[-1]
+    step = 1.0 / lam if lam > 0 else 0.0
+    w = y = np.asarray(w0, dtype=float)
+    theta = 1.0
+    for _ in range(WEIGHT_ITERS):
+        w_prev, w = w, _simplex_projection(y - step * (gram @ y - rhs))
+        theta_new = (1.0 + np.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
+        if (y - w) @ (w - w_prev) > 0:  # momentum points uphill: restart it
+            theta_new, y = 1.0, w
+        else:
+            y = w + (theta - 1.0) / theta_new * (w - w_prev)
+        theta = theta_new
+        if abs(w - w_prev).max() < WEIGHT_TOL:
+            break
     return w
 
 
@@ -251,7 +245,9 @@ def best_product_mixture_distance(
 
     Alternates a convex weight step with randomized member perturbations;
     member pools are seeded with the single-pair marginal and realignment
-    guesses, so exactly representable inputs resolve to ~0 distance.
+    guesses.  Single powers rho^(x k) and mixtures of Hilbert-Schmidt-orthogonal
+    members (with distinct w_i tr rho_i^2) resolve exactly, to ~0 distance, at
+    any k >= 2; other inputs get an upper bound only.
     """
     k = state.pairs
     if k < 2:
@@ -351,12 +347,10 @@ def ensemble_from_dict(payload: dict) -> Ensemble:
         raise ParameterError(f"malformed ensemble payload: {exc}") from exc
     if not isinstance(weights, list) or not all(type(w) in (int, float) for w in weights):
         raise ParameterError("ensemble weights must be a list of JSON numbers")
-    members = []
-    for item in raw_members:
-        if isinstance(item, str):
-            members.append(states.load_state(item))
-        else:
-            members.append(states.state_from_dict(item))
+    if not isinstance(raw_members, list) or not all(isinstance(m, (str, dict)) for m in raw_members):
+        raise ParameterError("ensemble members must be a list of state objects or file paths")
+    members = [states.load_state(m) if isinstance(m, str) else states.state_from_dict(m)
+               for m in raw_members]
     return Ensemble(tuple(float(w) for w in weights), tuple(members))
 
 

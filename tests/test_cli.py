@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,6 +144,14 @@ class TestScalarCommands:
         assert run(["mixpow", "--ensemble", str(path), "--k", "2"]) == 2
         assert "must be a list of JSON numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("members", [5, "abc", [5]])
+    def test_malformed_ensemble_members_are_usage_errors(self, capsys, tmp_path, members):
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps({"weights": [1.0], "members": members}))
+        assert run(["mixpow", "--ensemble", str(path), "--k", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "members" in err and err.count("\n") == 1
+
     def test_unknown_option_rejected(self):
         assert run(["definetti-bound", "--d", "2", "--k", "1", "--n", "100",
                     "--bogus", "3"]) == 2
@@ -229,6 +241,14 @@ class TestSymmetryCommands:
         assert run(["defclose", "--state", str(spath), "--restarts", "1",
                     "--iters", "4", "--seed", "3", "--out", str(out)]) == 0
         assert read_json(out)["distance"] <= 1e-6
+
+    def test_defclose_three_pairs(self, tmp_path):
+        spath = tmp_path / "p3.json"
+        dk.save_state(dk.tensor_power(dk.werner_state(2, 0.8), 3), spath)
+        out = tmp_path / "d.json"
+        assert run(["defclose", "--state", str(spath), "--restarts", "1",
+                    "--iters", "4", "--seed", "3", "--out", str(out)]) == 0
+        assert read_json(out)["distance"] <= 1e-9
 
 
 class TestTomographyCommands:
@@ -361,3 +381,13 @@ class TestSweep:
             _, rows = read_sweep_csv(out)
             outs.append([r["value"] for r in rows])
         assert outs[0] == outs[1]
+
+
+def test_cli_import_loads_no_scipy():
+    """numpy is the only runtime dependency: a fresh interpreter that imports the
+    CLI has no scipy module loaded."""
+    src = str(Path(dk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, distilkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -4,15 +4,18 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 from scipy import optimize
 
 import distilkit as dk
 from distilkit import linalg
 from distilkit.distillability import (
+    DENOM_REG,
     FilterPair,
     WitnessReport,
     _global_cut_pt,
+    _rayleigh_step,
     evaluate_schmidt_certificate,
     filter_ratio,
     schmidt_rank2_filters,
@@ -23,6 +26,7 @@ from distilkit.symmetry import symmetrize_matrix
 from conftest import explicit_twirl, per_entry_pairs, random_state, signed_zero_matrix
 
 PHI2 = dk.phi_projector(2)
+SEEDS = st.integers(0, 2 ** 32 - 1)
 
 
 def filter_ratio_raw(params, rho):
@@ -113,6 +117,101 @@ class TestF2:
         v1 = dk.f2(w, restarts=6, seed=9).value
         v2 = dk.f2(w, restarts=6, seed=9).value
         assert v1 == v2
+
+
+def filter_forms(state, other, t, side):
+    """(overlap, weight + DENOM_REG I) Hermitian forms in the free filter, one
+    matrix unit at a time: entry (i, j) is tr[(E_i (x) B) rho (E_j (x) B)^dag X]
+    for side A (X = phi_t or I), mirrored for side B."""
+    d = state.dimA if side == "A" else state.dimB
+    rho, phi = state.data, dk.phi_projector(t)
+    units = [np.eye(t * d)[i].reshape(t, d) for i in range(t * d)]
+    ops = [np.kron(e, other) if side == "A" else np.kron(other, e) for e in units]
+    num = np.array([[np.trace(a @ rho @ b.conj().T @ phi) for b in ops] for a in ops])
+    den = np.array([[np.trace(a @ rho @ b.conj().T) for b in ops] for a in ops])
+    return num, den + DENOM_REG * np.eye(t * d)
+
+
+def haar_unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestRayleighStepOracle:
+    """The whitened half-step against scipy's generalized Hermitian eigensolver."""
+
+    @staticmethod
+    def check(state, other, t, side):
+        d = state.dimA
+        new, value = _rayleigh_step(state.data.reshape(d, d, d, d), other, t, side)
+        num, den = filter_forms(state, other, t, side)
+        assert abs(value - scipy.linalg.eigh(num, den, eigvals_only=True)[-1]) < 1e-12
+        # the returned filter attains the value up to the DENOM_REG / weight shift
+        overlap, weight = filter_ratio(state, FilterPair(new, other) if side == "A"
+                                       else FilterPair(other, new))
+        assert abs(overlap / weight - value) < 1e-9
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("t", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_random_states(self, rng, d, t, side):
+        for _ in range(3):
+            state = random_state(rng, d, d)
+            other = rng.standard_normal((t, d)) + 1j * rng.standard_normal((t, d))
+            self.check(state, other / np.linalg.norm(other, 2), t, side)
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("t", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_near_singular_denominator(self, rng, d, t, side):
+        # the free side's marginal is 1e-3 away from rank one, so the d x d block D
+        # has condition ~1e3; the top eigenvalue's own sensitivity grows as 1/lambda_min(D)
+        a = linalg.random_pure(rng, d)
+        low = np.kron(np.outer(a, a.conj()), linalg.random_density(rng, d))
+        if side == "B":
+            low = linalg.permute_factors(low, (d, d), (1, 0))
+        state = dk.BipartiteState(0.999 * low + 1e-3 * linalg.random_density(rng, d * d), d, d)
+        other = rng.standard_normal((t, d)) + 1j * rng.standard_normal((t, d))
+        other /= np.linalg.norm(other, 2)
+        num, den = filter_forms(state, other, t, side)
+        assert np.linalg.eigvalsh(den)[0] < 2e-3 * np.linalg.eigvalsh(den)[-1]
+        self.check(state, other, t, side)
+
+
+class TestTwoQubitRoutes:
+    """Independent routes for 2x2 states, where Schmidt rank <= 2 always holds."""
+
+    @staticmethod
+    def draw(seed):
+        rng = np.random.default_rng(seed)
+        return rng, dk.BipartiteState(linalg.random_density(rng, 4, ancilla=(2, 4, 8)[seed % 3]), 2, 2)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=SEEDS)
+    def test_schmidt_search_is_exact_pt_minimum(self, seed):
+        _, rho = self.draw(seed)
+        lam = np.linalg.eigvalsh(dk.partial_transpose(rho))[0]
+        assert abs(dk.single_copy_distillable(rho, budget=1, seed=seed).value - lam) < 1e-9
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=SEEDS)
+    def test_f2_above_half_iff_npt(self, seed):
+        # Horodecki, PRL 78, 574 (1997): a 2x2 state is distillable iff it is NPT
+        _, rho = self.draw(seed)
+        lam = np.linalg.eigvalsh(dk.partial_transpose(rho))[0]
+        assume(abs(lam) > 1e-3)
+        value = dk.f2(rho, restarts=4, seed=seed, tol=1e-12).value
+        assert (value > 0.5 + 1e-9) == (lam < 0)
+        assert value >= np.real(np.trace(rho.data @ PHI2)) - 1e-12
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=SEEDS)
+    def test_f2_local_unitary_invariance(self, seed):
+        rng, rho = self.draw(seed)
+        u = np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
+        turned = dk.BipartiteState(u @ rho.data @ u.conj().T, 2, 2)
+        values = [dk.f2(s, restarts=4, seed=seed, tol=1e-12).value for s in (rho, turned)]
+        assert abs(values[0] - values[1]) < 1e-9
 
 
 class TestFD:

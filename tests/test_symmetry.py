@@ -7,11 +7,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import optimize
 
 import distilkit as dk
 from distilkit import linalg
 from distilkit.errors import ParameterError
-from distilkit.symmetry import all_permutations, symmetrize_matrix
+from distilkit.symmetry import _weight_step, all_permutations, symmetrize_matrix
 
 from conftest import explicit_twirl, random_state
 
@@ -217,6 +218,56 @@ def two_member_orthogonal_ensemble(w0=0.5):
     return dk.Ensemble((w0, 1 - w0), (a, b))
 
 
+def complex_orthogonal_ensemble(rng, w0=0.35):
+    """Two complex 2x2 members on orthogonal supports (Hilbert-Schmidt orthogonal)."""
+    q = linalg.random_isometry_cols(rng, 4, 4)
+    members = []
+    for cols in ((0, 1), (2, 3)):
+        p = rng.uniform(0.2, 1.0, size=2)
+        members.append(dk.BipartiteState((q[:, cols] * (p / p.sum())) @ q[:, cols].conj().T, 2, 2))
+    return dk.Ensemble((w0, 1 - w0), tuple(members))
+
+
+def mismatch(target, powers, w):
+    diff = target - sum(x * p for x, p in zip(w, powers))
+    return float(np.real(np.vdot(diff, diff)))
+
+
+def slsqp_weights(target, powers, w0):
+    """Reference least-squares fit over the simplex by SLSQP."""
+    n = len(powers)
+    cons = ({"type": "eq", "fun": lambda w: w.sum() - 1.0, "jac": lambda w: np.ones(n)},)
+    res = optimize.minimize(lambda w: mismatch(target, powers, w), w0, bounds=[(0.0, 1.0)] * n,
+                            constraints=cons, method="SLSQP",
+                            options={"maxiter": 300, "ftol": 1e-16})
+    w = np.clip(res.x, 0.0, None)
+    return w / w.sum()
+
+
+class TestWeightStep:
+    @settings(max_examples=20, deadline=None)
+    @given(seed=SEEDS, n=st.integers(1, 8), near_mixture=st.booleans())
+    def test_simplex_fit_matches_slsqp(self, seed, n, near_mixture):
+        rng = np.random.default_rng(seed)
+        members = [linalg.random_density(rng, 4) for _ in range(n)]
+        powers = [np.kron(m, m) for m in members]
+        target = linalg.random_density(rng, 16)
+        if near_mixture:
+            mix = sum(x * p for x, p in zip(rng.dirichlet(np.ones(n)), powers))
+            target = (mix + 0.01 * target) / 1.01
+        w0 = np.full(n, 1.0 / n)
+        w = _weight_step(target, powers, w0)
+        assert w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-12
+        assert mismatch(target, powers, w) <= mismatch(target, powers, slsqp_weights(target, powers, w0)) + 1e-12
+
+    def test_exact_mixture_recovered(self, rng):
+        members = [linalg.random_density(rng, 4) for _ in range(4)]
+        powers = [np.kron(m, m) for m in members]
+        w_true = np.array([0.1, 0.0, 0.6, 0.3])
+        w = _weight_step(sum(x * p for x, p in zip(w_true, powers)), powers, np.full(4, 0.25))
+        assert np.max(np.abs(w - w_true)) < 1e-9
+
+
 class TestMixtureOfPowers:
     def test_singleton(self, rng):
         rho = random_state(rng, 2, 2)
@@ -263,6 +314,20 @@ class TestBestProductMixtureDistance:
                                                   support=8)
         assert 0 <= val <= 1e-6
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_exact_power_higher_k(self, rng, k):
+        target = dk.tensor_power(random_state(rng, 2, 2), k)
+        val, ens = dk.best_product_mixture_distance(target, restarts=1, iters=5, seed=1)
+        assert 0 <= val <= 1e-9
+        assert dk.trace_distance(dk.mixture_of_powers(ens, k), target) <= 1e-9
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_complex_orthogonal_mixture(self, rng, k):
+        target = dk.mixture_of_powers(complex_orthogonal_ensemble(rng), k)
+        val, ens = dk.best_product_mixture_distance(target, restarts=1, iters=5, seed=3)
+        assert 0 <= val <= 1e-9
+        assert dk.trace_distance(dk.mixture_of_powers(ens, k), target) <= 1e-9
+
     def test_seed_reproducibility_on_symmetrized_input(self):
         singlet = dk.werner_state(2, 1.0)
         target = dk.symmetrize(dk.tensor(singlet, singlet))
@@ -304,6 +369,11 @@ class TestEnsembleJson:
         payload = {"weights": weights, "members": [dk.states.state_to_dict(random_state(rng, 2, 2))]}
         with pytest.raises(ParameterError, match="JSON numbers"):
             dk.symmetry.ensemble_from_dict(payload)
+
+    @pytest.mark.parametrize("members", [5, "abc", {"a": 1}, None, [5], [None], [[1.0]], [True]])
+    def test_members_must_be_states_or_paths(self, members):
+        with pytest.raises(ParameterError, match="members must be a list"):
+            dk.symmetry.ensemble_from_dict({"weights": [1.0], "members": members})
 
     def test_integer_weights_load(self, rng):
         payload = {"weights": [1, 0], "members": [dk.states.state_to_dict(random_state(rng, 2, 2))] * 2}
