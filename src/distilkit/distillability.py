@@ -53,6 +53,11 @@ class WitnessReport:
     budget_exhausted: bool = False
     seed: Optional[int] = None
     restarts: int = 0
+    #: see-saw diagnostics, in restart order: sweeps run (of the last start, when a
+    #: start was re-drawn), degenerate re-draws, and the restart that gave ``value``
+    iterations: Optional[list] = None
+    redraws: Optional[list] = None
+    best_restart: Optional[int] = None
 
     def to_dict(self) -> dict:
         cert = self.certificate
@@ -77,6 +82,9 @@ class WitnessReport:
             "budget_exhausted": bool(self.budget_exhausted),
             "seed": self.seed,
             "restarts": int(self.restarts),
+            "iterations": self.iterations,
+            "redraws": self.redraws,
+            "best_restart": self.best_restart,
         }
 
 
@@ -107,42 +115,32 @@ def filter_ratio(state: BipartiteState, fp: FilterPair) -> tuple[float, float]:
     return overlap, weight
 
 
-def _rayleigh_step(rho4: np.ndarray, other: np.ndarray, t: int, side: str) -> tuple[np.ndarray, float]:
+def _rayleigh_step(rho4: np.ndarray, other: np.ndarray, t: int, side: str) -> tuple[np.ndarray, np.ndarray]:
     """Maximize the filtered phi_t overlap ratio over one filter with the other fixed.
 
     Both the overlap and the success weight are quadratic forms in the free
     filter (flattened row-major), so the optimum is the top generalized
-    eigenvector of (numerator, denominator) matrices.
+    eigenvector of (numerator, denominator) matrices.  ``other`` is one filter
+    ``(t, d)`` or a stack ``(..., t, d)`` of them; each slice is solved on its
+    own, giving filters ``(..., t, d_free)`` and values ``(...)``.
     """
     if side == "A":
-        num = np.einsum("xb,cdab,yd->xayc", other.conj(), rho4, other) / t
-        den_local = np.einsum("Bb,abcd,Bd->ac", other, rho4, other.conj())
+        num = np.einsum("...xb,cdab,...yd->...xayc", other.conj(), rho4, other) / t
+        den_local = np.einsum("...Bb,abcd,...Bd->...ac", other, rho4, other.conj())
     else:
-        num = np.einsum("xa,cdab,yc->xbyd", other.conj(), rho4, other) / t
-        den_local = np.einsum("Xa,abcd,Xc->bd", other, rho4, other.conj())
-    d_loc = den_local.shape[0]
+        num = np.einsum("...xa,cdab,...yc->...xbyd", other.conj(), rho4, other) / t
+        den_local = np.einsum("...Xa,abcd,...Xc->...bd", other, rho4, other.conj())
+    batch, d_loc = other.shape[:-2], den_local.shape[-1]
     n = t * d_loc
-    num = linalg.hermitize(num.reshape(n, n))
+    num = linalg.hermitize(num.reshape(batch + (n, n)))
     # den = I_t (x) chol chol^dag, so one d x d factor whitens the generalized
     # problem to a standard one (Golub-Van Loan 8.7); LinAlgError if den is not PD
-    chol = np.linalg.cholesky(linalg.hermitize(den_local).T + DENOM_REG * np.eye(d_loc))
-    white = np.kron(np.eye(t), np.linalg.inv(chol))
+    chol = np.linalg.cholesky(linalg.hermitize(den_local).swapaxes(-1, -2)
+                              + DENOM_REG * np.eye(d_loc))
+    white = np.einsum("xy,...ab->...xayb", np.eye(t), np.linalg.inv(chol)).reshape(batch + (n, n))
     w, v = np.linalg.eigh(white @ num @ linalg.dagger(white))
-    new = (linalg.dagger(white) @ v[:, -1]).reshape(t, d_loc)
-    return new / np.linalg.norm(new, 2), float(w[-1])
-
-
-def _seesaw_restart(rho4, t, init, iters, tol):
-    A, B = init
-    value = -np.inf
-    for _ in range(iters):
-        A, _ = _rayleigh_step(rho4, B, t, "A")
-        B, new_val = _rayleigh_step(rho4, A, t, "B")
-        if new_val < value + tol:
-            value = max(value, new_val)
-            break
-        value = new_val
-    return value, FilterPair(A, B)
+    new = (linalg.dagger(white) @ v[..., -1:]).reshape(batch + (t, d_loc))
+    return new / np.linalg.norm(new, 2, axis=(-2, -1), keepdims=True), w[..., -1]
 
 
 def _fd_seesaw(
@@ -156,16 +154,9 @@ def _fd_seesaw(
     if restarts < 1:
         raise ParameterError("need restarts >= 1")
     dA, dB = _cut_dims(state)
-    rho = to_global_cut(state)
-    rho4 = rho.reshape(dA, dB, dA, dB)
-    rng = np.random.default_rng(seed)
-    child = rng.integers(0, 2 ** 63 - 1, size=restarts)
-
-    def embedding(d_loc):
-        e = np.zeros((t, d_loc), dtype=complex)
-        for i in range(min(t, d_loc)):
-            e[i, i] = 1.0
-        return e
+    rho4 = to_global_cut(state).reshape(dA, dB, dA, dB)
+    child = np.random.default_rng(seed).integers(0, 2 ** 63 - 1, size=restarts)
+    gens = [np.random.default_rng(c) for c in child]
 
     def rank1_floor():
         # A = |0><a|, B = |0><b| reaches exactly 1/t whenever <ab|rho|ab> > 0
@@ -184,35 +175,73 @@ def _fd_seesaw(
         B = r.standard_normal((t, dB)) + 1j * r.standard_normal((t, dB))
         return A / np.linalg.norm(A, 2), B / np.linalg.norm(B, 2)
 
-    def run(idx):
-        r = np.random.default_rng(child[idx])
-        if idx == 0:
-            init = (embedding(dA), embedding(dB))
-        elif idx == 1:
-            init = rank1_floor()
-        else:
-            init = random_filters(r)
-        for _ in range(4):  # degenerate starts restart with fresh filters
+    # one row per restart; all active rows advance together, one stacked half-step each
+    A = np.zeros((restarts, t, dA), dtype=complex)
+    B = np.zeros((restarts, t, dB), dtype=complex)
+    value = np.full(restarts, -np.inf)
+    sweeps = np.zeros(restarts, dtype=int)
+    redraws = np.zeros(restarts, dtype=int)
+    active = np.zeros(restarts, dtype=bool)
+
+    def admit(i, init):
+        """(Re)start row i; a degenerate start is re-drawn from the row's own
+        generator, and a row that fails four times is dropped (stays inactive)."""
+        value[i], sweeps[i] = -np.inf, 0
+        while redraws[i] < 4:
             try:
                 apply_filter_pair(state, FilterPair(*init))
-                return _seesaw_restart(rho4, t, init, iters, tol)
-            except (NumericalError, np.linalg.LinAlgError):
-                init = random_filters(r)
-        return None
+            except NumericalError:
+                redraws[i] += 1
+                init = random_filters(gens[i])
+                continue
+            A[i], B[i] = init
+            active[i] = iters > 0
+            return
+        active[i] = False
 
-    results = [r for r in map(run, range(restarts)) if r is not None]
-    if not results:
+    for i in range(restarts):
+        # the embedding |i><i| (i < min(t, d)), the rank-1 floor, then random filters
+        admit(i, (np.eye(t, dA, dtype=complex), np.eye(t, dB, dtype=complex)) if i == 0
+              else rank1_floor() if i == 1 else random_filters(gens[i]))
+
+    def sweep(idx):
+        """One A then B half-step on rows idx.  A row stops once a sweep gains less
+        than tol (keeping the larger value) or after iters sweeps."""
+        newA, _ = _rayleigh_step(rho4, B[idx], t, "A")
+        newB, new_val = _rayleigh_step(rho4, newA, t, "B")
+        A[idx], B[idx] = newA, newB
+        sweeps[idx] += 1
+        done = new_val < value[idx] + tol
+        value[idx] = np.where(done, np.maximum(value[idx], new_val), new_val)
+        active[idx[done | (sweeps[idx] >= iters)]] = False
+
+    while active.any():
+        idx = np.flatnonzero(active)
+        try:
+            sweep(idx)
+        except np.linalg.LinAlgError:
+            # a denominator that is not positive definite fails the whole stack:
+            # sweep the rows one at a time and re-draw the ones that fail
+            for i in idx:
+                try:
+                    sweep(np.array([i]))
+                except np.linalg.LinAlgError:
+                    redraws[i] += 1
+                    admit(i, random_filters(gens[i]))
+
+    alive = redraws < 4
+    if not alive.any():
         raise OptimizationError("all see-saw restarts degenerated")
-
-    best_val = max(val for val, _ in results)
-    chosen_val, fp = next(r for r in results if r[0] >= best_val - 1e-12)
+    best = int(np.flatnonzero(alive & (value >= value[alive].max() - 1e-12))[0])
+    fp = FilterPair(A[best], B[best])
     try:
         overlap, weight = filter_ratio(state, fp)
-        value = overlap / weight
+        result = overlap / weight
     except NumericalError:
-        value = chosen_val
-    return WitnessReport(value=float(value), certificate=fp, budget_exhausted=False,
-                         seed=seed, restarts=restarts)
+        result = value[best]
+    return WitnessReport(value=float(result), certificate=fp, budget_exhausted=False,
+                         seed=seed, restarts=restarts, iterations=sweeps.tolist(),
+                         redraws=redraws.tolist(), best_restart=best)
 
 
 def f2(
@@ -227,7 +256,10 @@ def f2(
     Alternates exact Rayleigh-quotient maximizations over A and B; each
     half-step is a generalized Hermitian eigenproblem, so the value never
     decreases along iterations.  Values above 1/2 certify single-copy
-    distillability.
+    distillability.  The restarts are batched: all running restarts take
+    each half-step together as one stack, and each stops on its own.  The
+    report's ``iterations`` and ``redraws`` give each restart's sweeps and
+    degenerate re-draws, and ``best_restart`` the restart that gave the value.
     """
     return _fd_seesaw(state, 2, restarts, iters, tol, seed)
 

@@ -13,7 +13,8 @@ from .errors import ParameterError
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def herm_residual(m: np.ndarray) -> float:

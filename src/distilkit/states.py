@@ -352,8 +352,21 @@ def state_from_dict(payload: dict) -> BipartiteState:
         raise ParameterError(f"malformed state payload: {exc}") from exc
     if not all(type(n) is int for n in (dimA, dimB, pairs)):
         raise ParameterError("dimA, dimB and pairs must be JSON integers")
+    if min(dimA, dimB, pairs) < 1:
+        raise ParameterError("dimA, dimB and pairs must be positive")
+    # pairs of dimension 2 or more fill DIM_CAP within log2(DIM_CAP) pairs, so no
+    # state needs more; checking pairs first keeps the power computed next small
+    max_pairs = DIM_CAP.bit_length() - 1
+    if pairs > max_pairs:
+        raise ParameterError(f"pairs must be at most {max_pairs} (dimension cap {DIM_CAP})")
     dim = (dimA * dimB) ** pairs
+    if dim > DIM_CAP:
+        raise ParameterError(f"(dimA*dimB)**pairs exceeds the dimension cap {DIM_CAP}")
     flat = decode_complex(entries, dim * dim)
+    # |rho_ij| <= sqrt(rho_ii rho_jj) <= 1 for a state, so larger entries are
+    # rejected before any arithmetic on them can overflow
+    if not (np.abs(flat) <= 1 + STATE_TOL).all():
+        raise ParameterError("state entries must have modulus at most 1")
     report = validate_state(flat.reshape(dim, dim), dimA, dimB, pairs)
     if not report.ok:
         raise ParameterError(f"state file violates invariants: {report.violations}")

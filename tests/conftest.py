@@ -10,7 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from distilkit import BipartiteState, permutation_operator
+from distilkit import BipartiteState, distillability, linalg, permutation_operator
+from distilkit.errors import NumericalError
+from distilkit.states import to_global_cut
 from distilkit.symmetry import all_permutations
 
 
@@ -47,6 +49,66 @@ def explicit_twirl(mat: np.ndarray, pair_dim: int, k: int) -> np.ndarray:
         p = permutation_operator(perm, pair_dim)
         acc += p @ mat @ p.T
     return acc / math.factorial(k)
+
+
+def seesaw_reference(state: BipartiteState, t: int, restarts: int, iters: int = 500,
+                     tol: float = 1e-9, seed=None) -> dict:
+    """The phi_t see-saw run one restart after another, each to its own stop, with
+    single-filter half-steps: the loop the stacked see-saw replaced.  Same child
+    seeds, starts and re-draw rule; returns the chosen value and restart with the
+    per-restart values, sweep counts and re-draws."""
+    dA, dB = state.dimA ** state.pairs, state.dimB ** state.pairs
+    rho4 = to_global_cut(state).reshape(dA, dB, dA, dB)
+    child = np.random.default_rng(seed).integers(0, 2 ** 63 - 1, size=restarts)
+
+    def random_filters(r):
+        A = r.standard_normal((t, dA)) + 1j * r.standard_normal((t, dA))
+        B = r.standard_normal((t, dB)) + 1j * r.standard_normal((t, dB))
+        return A / np.linalg.norm(A, 2), B / np.linalg.norm(B, 2)
+
+    def start(idx, r):
+        if idx == 0:
+            return np.eye(t, dA, dtype=complex), np.eye(t, dB, dtype=complex)
+        if idx == 1:  # rank-1 floor: top eigenvector of rho_A, then of <a|rho|a>
+            a = np.linalg.eigh(linalg.hermitize(np.trace(rho4, axis1=1, axis2=3)))[1][:, -1]
+            cond = np.einsum("a,abcd,c->bd", a.conj(), rho4, a)
+            b = np.linalg.eigh(linalg.hermitize(cond))[1][:, -1]
+            A, B = np.zeros((t, dA), complex), np.zeros((t, dB), complex)
+            A[0], B[0] = a.conj(), b.conj()
+            return A, B
+        return random_filters(r)
+
+    def run(A, B):
+        value = -np.inf
+        for sweep in range(1, iters + 1):
+            A, _ = distillability._rayleigh_step(rho4, B, t, "A")
+            B, new_val = distillability._rayleigh_step(rho4, A, t, "B")
+            if new_val < value + tol:
+                return max(value, new_val), (A, B), sweep
+            value = new_val
+        return value, (A, B), iters
+
+    values, filters, sweeps, redraws = [], [], [], []
+    for idx in range(restarts):
+        r = np.random.default_rng(child[idx])
+        init, out, fails = start(idx, r), (None, None, 0), 0
+        while fails < 4:
+            try:
+                distillability.apply_filter_pair(state, distillability.FilterPair(*init))
+                out = run(*init)
+                break
+            except (NumericalError, np.linalg.LinAlgError):
+                fails += 1
+                init = random_filters(r)
+        values.append(out[0])
+        filters.append(out[1])
+        sweeps.append(out[2])
+        redraws.append(fails)
+    alive = [v for v in values if v is not None]
+    best = next(i for i, v in enumerate(values) if v is not None and v >= max(alive) - 1e-12)
+    overlap, weight = distillability.filter_ratio(state, distillability.FilterPair(*filters[best]))
+    return {"value": overlap / weight, "best_restart": best, "values": values,
+            "iterations": sweeps, "redraws": redraws}
 
 
 def per_entry_pairs(a) -> list:

@@ -152,6 +152,22 @@ class TestScalarCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "members" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("field,value", [("pairs", -1), ("pairs", 3000), ("pairs", 100000),
+                                             ("entry", 1e308)])
+    def test_out_of_range_state_file_is_one_error_line(self, tmp_path, field, value):
+        # a fresh interpreter, so that a numpy RuntimeWarning would reach stderr
+        payload = dk.states.state_to_dict(dk.werner_state(2, 0.3))
+        if field == "entry":
+            payload["matrix"][0] = payload["matrix"][5] = [value, 0.0]
+        else:
+            payload[field] = value
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(payload))
+        done = run_fresh(["ppt", "--state", str(path)])
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert len(done.stderr) < 200
+
     def test_unknown_option_rejected(self):
         assert run(["definetti-bound", "--d", "2", "--k", "1", "--n", "100",
                     "--bogus", "3"]) == 2
@@ -383,11 +399,20 @@ class TestSweep:
         assert outs[0] == outs[1]
 
 
+def fresh_python(code, *args):
+    """Run ``python -c code args`` in a fresh interpreter that imports this distilkit."""
+    src = str(Path(dk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+
+
+def run_fresh(argv):
+    return fresh_python("import sys; from distilkit.cli import run; sys.exit(run(sys.argv[1:]))", *argv)
+
+
 def test_cli_import_loads_no_scipy():
     """numpy is the only runtime dependency: a fresh interpreter that imports the
     CLI has no scipy module loaded."""
-    src = str(Path(dk.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, distilkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    done = fresh_python(code)
+    assert done.returncode == 0 and done.stdout.strip() == "[]"

@@ -23,7 +23,8 @@ from distilkit.distillability import (
 from distilkit.errors import ParameterError
 from distilkit.symmetry import symmetrize_matrix
 
-from conftest import explicit_twirl, per_entry_pairs, random_state, signed_zero_matrix
+from conftest import (explicit_twirl, per_entry_pairs, random_state, seesaw_reference,
+                      signed_zero_matrix)
 
 PHI2 = dk.phi_projector(2)
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -119,6 +120,78 @@ class TestF2:
         assert v1 == v2
 
 
+class TestStackedSeesaw:
+    """The stacked see-saw against the per-restart reference loop in conftest."""
+
+    @staticmethod
+    def states():
+        for d in (2, 3):
+            for s in range(3):
+                for family in (dk.Family.RANDOM_MIXED, dk.Family.RANDOM_PPT):
+                    yield dk.construct_state(dk.StateFamilySpec(family, d=d), seed=10 + s)
+
+    @staticmethod
+    def check(rep, ref):
+        assert abs(rep.value - ref["value"]) < 1e-12
+        assert rep.iterations == ref["iterations"]
+        assert rep.redraws == ref["redraws"]
+        assert rep.best_restart == ref["best_restart"]
+
+    def test_f2_matches_per_restart_loop(self):
+        for i, state in enumerate(self.states()):
+            self.check(dk.f2(state, restarts=6, seed=i), seesaw_reference(state, 2, 6, seed=i))
+
+    def test_fd_matches_per_restart_loop(self):
+        for i, state in enumerate(self.states()):
+            if state.dimA == 3:
+                self.check(dk.fD(state, 3, restarts=5, seed=i),
+                           seesaw_reference(state, 3, 5, seed=i))
+
+    def test_iteration_cap_and_tolerance_per_restart(self):
+        state = dk.construct_state(dk.StateFamilySpec(dk.Family.RANDOM_PPT, d=2), seed=21)
+        for iters, tol in ((3, 1e-9), (40, 1e-6)):
+            rep = dk.f2(state, restarts=5, iters=iters, tol=tol, seed=1)
+            self.check(rep, seesaw_reference(state, 2, 5, iters=iters, tol=tol, seed=1))
+            assert max(rep.iterations) <= iters
+
+    def test_degenerate_start_in_a_mixed_stack(self):
+        # the embedding start annihilates |22><22| and is re-drawn; the rank-1
+        # floor and the random starts join the stack as they are
+        state = dk.construct_state(dk.StateFamilySpec(dk.Family.PRODUCT_PURE, 3, {"i": 2, "j": 2}))
+        rep = dk.f2(state, restarts=3, seed=0)
+        assert rep.redraws[0] >= 1 and rep.redraws[1:] == [0, 0]
+        assert abs(rep.value - 0.5) < 1e-9
+        self.check(rep, seesaw_reference(state, 2, 3, seed=0))
+
+    def test_failing_slice_leaves_other_restarts_alone(self, monkeypatch):
+        # a LinAlgError raised for one restart's filter fails the whole stack; that
+        # restart is re-drawn and the others keep the values of an undisturbed run
+        state = dk.construct_state(dk.StateFamilySpec(dk.Family.RANDOM_MIXED, d=3), seed=4)
+        clean = dk.f2(state, restarts=5, seed=2)
+        step, poison = dk.distillability._rayleigh_step, []
+
+        def failing_step(rho4, other, t, side):
+            if not poison:
+                poison.append(other.reshape(-1, *other.shape[-2:])[3].copy())
+            if any(np.array_equal(o, poison[0]) for o in other.reshape(-1, *other.shape[-2:])):
+                raise np.linalg.LinAlgError("poisoned filter")
+            return step(rho4, other, t, side)
+
+        monkeypatch.setattr(dk.distillability, "_rayleigh_step", failing_step)
+        rep = dk.f2(state, restarts=5, seed=2)
+        assert rep.redraws == [0, 0, 0, 1, 0]
+        assert [n for i, n in enumerate(rep.iterations) if i != 3] == \
+            [n for i, n in enumerate(clean.iterations) if i != 3]
+        self.check(rep, seesaw_reference(state, 2, 5, seed=2))
+
+    def test_report_fields(self):
+        rep = dk.f2(dk.werner_state(2, 0.8), restarts=4, seed=3)
+        assert len(rep.iterations) == len(rep.redraws) == 4
+        assert 0 <= rep.best_restart < 4 and all(n >= 1 for n in rep.iterations)
+        payload = rep.to_dict()
+        assert payload["iterations"] == rep.iterations and payload["best_restart"] == rep.best_restart
+
+
 def filter_forms(state, other, t, side):
     """(overlap, weight + DENOM_REG I) Hermitian forms in the free filter, one
     matrix unit at a time: entry (i, j) is tr[(E_i (x) B) rho (E_j (x) B)^dag X]
@@ -159,6 +232,22 @@ class TestRayleighStepOracle:
             state = random_state(rng, d, d)
             other = rng.standard_normal((t, d)) + 1j * rng.standard_normal((t, d))
             self.check(state, other / np.linalg.norm(other, 2), t, side)
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("t", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_stack_matches_slice_by_slice(self, rng, d, t, side):
+        state = random_state(rng, d, d)
+        others = rng.standard_normal((5, t, d)) + 1j * rng.standard_normal((5, t, d))
+        others /= np.linalg.norm(others, 2, axis=(1, 2), keepdims=True)
+        new, values = _rayleigh_step(state.data.reshape(d, d, d, d), others, t, side)
+        assert new.shape == (5, t, d) and values.shape == (5,)
+        for other, filt, value in zip(others, new, values):
+            num, den = filter_forms(state, other, t, side)
+            assert abs(value - scipy.linalg.eigh(num, den, eigvals_only=True)[-1]) < 1e-12
+            overlap, weight = filter_ratio(state, FilterPair(filt, other) if side == "A"
+                                           else FilterPair(other, filt))
+            assert abs(overlap / weight - value) < 1e-9
 
     @pytest.mark.parametrize("side", ["A", "B"])
     @pytest.mark.parametrize("t", [2, 3])
@@ -431,7 +520,8 @@ class TestCertificateConversion:
                 "A": {"shape": [2, 3], "entries": per_entry_pairs(fp.A)},
                 "B": {"shape": [2, 4], "entries": per_entry_pairs(fp.B)}}
         reference = {"value": 0.7, "certificate": cert, "budget_exhausted": False,
-                     "seed": 3, "restarts": 4}
+                     "seed": 3, "restarts": 4, "iterations": None, "redraws": None,
+                     "best_restart": None}
         assert json.dumps(rep.to_dict()) == json.dumps(reference)
 
     def test_vector_encoding_matches_per_entry_format(self, rng):
@@ -439,7 +529,8 @@ class TestCertificateConversion:
         rep = WitnessReport(-0.1, vector, budget_exhausted=True, seed=None, restarts=2)
         cert = {"type": "schmidt_rank2_vector", "vector": per_entry_pairs(vector)}
         reference = {"value": -0.1, "certificate": cert, "budget_exhausted": True,
-                     "seed": None, "restarts": 2}
+                     "seed": None, "restarts": 2, "iterations": None, "redraws": None,
+                     "best_restart": None}
         assert json.dumps(rep.to_dict()) == json.dumps(reference)
 
     def test_report_serialization(self):

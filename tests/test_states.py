@@ -1,6 +1,7 @@
 """State families, tensor algebra, partial trace/transpose, validation, JSON I/O."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -314,6 +315,45 @@ class TestJson:
         payload[field] = value
         with pytest.raises(ParameterError, match="JSON integers"):
             dk.states.state_from_dict(payload)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("pairs", -1, "must be positive"), ("dimA", 0, "must be positive"),
+        ("pairs", 13, "at most 12"), ("pairs", 3000, "at most 12"),
+        ("pairs", 10 ** 4000, "at most 12"), ("dimB", 10 ** 4000, "exceeds the dimension cap"),
+        ("dimA", 2049, "exceeds the dimension cap"),
+    ])
+    def test_dimensions_checked_before_decoding(self, field, value, message):
+        # the matrix is a single entry: the bound must fail before the entries are counted
+        payload = {"dimA": 2, "dimB": 2, "pairs": 1, "matrix": [[1.0, 0.0]], field: value}
+        with pytest.raises(ParameterError, match=message):
+            dk.states.state_from_dict(payload)
+
+    def test_pairs_bounded_even_when_one_dimensional(self):
+        # the dimension stays 1, but 10**30 pairs made the CLI fail with OverflowError
+        payload = {"dimA": 1, "dimB": 1, "pairs": 12, "matrix": [[1.0, 0.0]]}
+        assert dk.states.state_from_dict(payload).dim == 1
+        with pytest.raises(ParameterError, match="at most 12"):
+            dk.states.state_from_dict(dict(payload, pairs=10 ** 30))
+
+    @pytest.mark.parametrize("entry", [[1e308, 0.0], [0.0, -1e308], [1.0, 1.0]])
+    def test_entries_above_unit_modulus_rejected(self, entry):
+        payload = dk.states.state_to_dict(dk.werner_state(2, 0.3))
+        payload["matrix"][5] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="modulus at most 1"):
+                dk.states.state_from_dict(payload)
+
+    def test_invariants_checked_after_the_modulus_bound(self):
+        payload = dk.states.state_to_dict(dk.werner_state(2, 0.5))
+        payload["matrix"][0] = [0.9, 0.0]  # within modulus 1, breaks the trace
+        with pytest.raises(ParameterError, match="violates invariants"):
+            dk.states.state_from_dict(payload)
+
+    def test_pure_product_state_loads(self):
+        # a diagonal entry of 1 is the largest modulus a state can have
+        payload = {"dimA": 2, "dimB": 2, "pairs": 1, "matrix": [[1.0, 0.0]] + [[0.0, 0.0]] * 15}
+        assert dk.states.state_from_dict(payload).data[0, 0] == 1.0
 
     def test_malformed_file_names_path(self, tmp_path):
         bad = tmp_path / "bad.json"
