@@ -53,8 +53,9 @@ class WitnessReport:
     budget_exhausted: bool = False
     seed: Optional[int] = None
     restarts: int = 0
-    #: see-saw diagnostics, in restart order: sweeps run (of the last start, when a
-    #: start was re-drawn), degenerate re-draws, and the restart that gave ``value``
+    #: search diagnostics, in restart order: sweeps run (of the last start, when a
+    #: see-saw start was re-drawn), degenerate see-saw re-draws, and the restart that
+    #: gave ``value``; the Schmidt-rank-2 search counts its attempts as restarts
     iterations: Optional[list] = None
     redraws: Optional[list] = None
     best_restart: Optional[int] = None
@@ -92,6 +93,17 @@ def _cut_dims(state: BipartiteState) -> tuple[int, int]:
     return state.dimA ** state.pairs, state.dimB ** state.pairs
 
 
+def _success_weights(rho4: np.ndarray, A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Success weights tr[(A (x) B) rho (A (x) B)^dag] of filter pairs, one or a
+    stack ``(..., t, dA)``, ``(..., t, dB)``, on ``rho4`` ``(dA, dB, dA, dB)``, and
+    whether each post-selection is sound: a weight not above ``DENOM_REG`` is
+    degenerate.  The weight is tr[rho (A^dag A (x) B^dag B)]."""
+    gram_a, gram_b = A.swapaxes(-1, -2) @ A.conj(), B.swapaxes(-1, -2) @ B.conj()  # (A^dag A)^T
+    outer = gram_a[..., :, None, :, None] * gram_b[..., None, :, None, :]
+    weight = (outer.reshape(outer.shape[:-4] + (-1,)) @ rho4.reshape(-1)).real
+    return weight, weight > DENOM_REG
+
+
 def apply_filter_pair(state: BipartiteState, fp: FilterPair) -> tuple[np.ndarray, float]:
     """(A (x) B) rho (A (x) B)^dag across the aggregated A|B cut (unnormalized) and
     its trace, the success weight.  A weight not above ``DENOM_REG`` is a degenerate
@@ -99,12 +111,12 @@ def apply_filter_pair(state: BipartiteState, fp: FilterPair) -> tuple[np.ndarray
     dA, dB = _cut_dims(state)
     if fp.A.shape[1] != dA or fp.B.shape[1] != dB:
         raise ParameterError("filter shapes do not match the state's A|B cut")
-    op = np.kron(fp.A, fp.B)
-    out = op @ to_global_cut(state) @ linalg.dagger(op)
-    weight = float(np.trace(out).real)
-    if not weight > DENOM_REG:
+    rho = to_global_cut(state)
+    weight, sound = _success_weights(rho.reshape(dA, dB, dA, dB), fp.A, fp.B)
+    if not sound:
         raise NumericalError("degenerate post-selection: the filters annihilate the state")
-    return out, weight
+    op = np.kron(fp.A, fp.B)
+    return op @ rho @ linalg.dagger(op), float(weight)
 
 
 def filter_ratio(state: BipartiteState, fp: FilterPair) -> tuple[float, float]:
@@ -123,24 +135,41 @@ def _rayleigh_step(rho4: np.ndarray, other: np.ndarray, t: int, side: str) -> tu
     eigenvector of (numerator, denominator) matrices.  ``other`` is one filter
     ``(t, d)`` or a stack ``(..., t, d)`` of them; each slice is solved on its
     own, giving filters ``(..., t, d_free)`` and values ``(...)``.
+
+    - Numerator: the outer product conj(other_x) (x) other_y of the fixed filter's
+      rows, times ``rho4`` rearranged as a ``(d_other^2, d_free^2)`` matrix: one
+      matmul for the whole stack.
+    - Denominator: I_t (x) D^T with D^T = t sum_x num[x, :, x, :]; the diagonal block
+      t num[x, :, x, :] is the success-weight form of the fixed filter's row x, so
+      the weight needs no second contraction of ``rho4``.
+    - Whitening: one Cholesky factor L of D^T + DENOM_REG I turns the generalized
+      problem into a standard one (Golub-Van Loan 8.7).  L^-1 acts blockwise on the
+      ``(t, d)`` axes, and the eigenvector V maps back as V conj(L^-1).
+      LinAlgError if the denominator is not positive definite.
+    - Normalization: the ratio does not depend on scale, so the new filter is
+      scaled to unit Frobenius norm; callers spectral-normalize a returned
+      certificate (``FilterPair.normalized``).
     """
     if side == "A":
-        num = np.einsum("...xb,cdab,...yd->...xayc", other.conj(), rho4, other) / t
-        den_local = np.einsum("...Bb,abcd,...Bd->...ac", other, rho4, other.conj())
+        rearranged = rho4.transpose(3, 1, 2, 0)  # [b, d, a, c] = rho4[c, d, a, b]
     else:
-        num = np.einsum("...xa,cdab,...yc->...xbyd", other.conj(), rho4, other) / t
-        den_local = np.einsum("...Xa,abcd,...Xc->...bd", other, rho4, other.conj())
-    batch, d_loc = other.shape[:-2], den_local.shape[-1]
+        rearranged = rho4.transpose(2, 0, 3, 1)  # [a, c, b, d] = rho4[c, d, a, b]
+    batch, d_other = other.shape[:-2], other.shape[-1]
+    d_loc = rearranged.shape[-1]
     n = t * d_loc
-    num = linalg.hermitize(num.reshape(batch + (n, n)))
-    # den = I_t (x) chol chol^dag, so one d x d factor whitens the generalized
-    # problem to a standard one (Golub-Van Loan 8.7); LinAlgError if den is not PD
-    chol = np.linalg.cholesky(linalg.hermitize(den_local).swapaxes(-1, -2)
-                              + DENOM_REG * np.eye(d_loc))
-    white = np.einsum("xy,...ab->...xayb", np.eye(t), np.linalg.inv(chol)).reshape(batch + (n, n))
-    w, v = np.linalg.eigh(white @ num @ linalg.dagger(white))
-    new = (linalg.dagger(white) @ v[..., -1:]).reshape(batch + (t, d_loc))
-    return new / np.linalg.norm(new, 2, axis=(-2, -1), keepdims=True), w[..., -1]
+    outer = other.conj()[..., :, None, :, None] * other[..., None, :, None, :]
+    scaled = (outer.reshape(-1, d_other * d_other) @ rearranged.reshape(d_other * d_other, -1)
+              ).reshape(batch + (t, t, d_loc, d_loc)).swapaxes(-3, -2)  # t num[x, a, y, c]
+    den = np.einsum("...xaxc->...ac", scaled)
+    num = linalg.hermitize(scaled.reshape(batch + (n, n)) / t)
+    chol = np.linalg.cholesky(linalg.hermitize(den) + DENOM_REG * np.eye(d_loc))
+    inv = np.linalg.inv(chol)
+    # L^-1 from the left on each of the t row blocks, L^-dag from the right on
+    # each column block: the rows and column blocks share one matmul
+    white = (inv[..., None, :, :] @ num.reshape(batch + (t, d_loc, n))).reshape(batch + (n * t, d_loc))
+    w, v = np.linalg.eigh((white @ linalg.dagger(inv)).reshape(batch + (n, n)))
+    new = v[..., -1].reshape(batch + (t, d_loc)) @ inv.conj()
+    return new / np.linalg.norm(new, axis=(-2, -1), keepdims=True), w[..., -1]
 
 
 def _fd_seesaw(
@@ -153,6 +182,8 @@ def _fd_seesaw(
 ) -> WitnessReport:
     if restarts < 1:
         raise ParameterError("need restarts >= 1")
+    if iters < 1:
+        raise ParameterError("need iters >= 1")
     dA, dB = _cut_dims(state)
     rho4 = to_global_cut(state).reshape(dA, dB, dA, dB)
     child = np.random.default_rng(seed).integers(0, 2 ** 63 - 1, size=restarts)
@@ -170,39 +201,43 @@ def _fd_seesaw(
         B[0, :] = b.conj()
         return A, B
 
-    def random_filters(r):
-        A = r.standard_normal((t, dA)) + 1j * r.standard_normal((t, dA))
-        B = r.standard_normal((t, dB)) + 1j * r.standard_normal((t, dB))
-        return A / np.linalg.norm(A, 2), B / np.linalg.norm(B, 2)
+    def random_filters(rows):
+        """Random starts for ``rows``, each drawn from the row's own generator and
+        scaled to spectral norm 1 by one stacked SVD per side."""
+        draws = [(g.standard_normal((t, dA)) + 1j * g.standard_normal((t, dA)),
+                  g.standard_normal((t, dB)) + 1j * g.standard_normal((t, dB)))
+                 for g in (gens[i] for i in rows)]
+        return tuple(f / np.linalg.svd(f, compute_uv=False)[:, :1, None]
+                     for f in map(np.array, zip(*draws)))
 
-    # one row per restart; all active rows advance together, one stacked half-step each
+    # one row per restart: the embedding |i><i| (i < min(t, d)), the rank-1 floor,
+    # then random filters; all active rows advance together, one stacked half-step each
     A = np.zeros((restarts, t, dA), dtype=complex)
     B = np.zeros((restarts, t, dB), dtype=complex)
+    A[0], B[0] = np.eye(t, dA), np.eye(t, dB)
+    if restarts > 1:
+        A[1], B[1] = rank1_floor()
+    if restarts > 2:
+        A[2:], B[2:] = random_filters(range(2, restarts))
     value = np.full(restarts, -np.inf)
     sweeps = np.zeros(restarts, dtype=int)
     redraws = np.zeros(restarts, dtype=int)
-    active = np.zeros(restarts, dtype=bool)
+    active = _success_weights(rho4, A, B)[1]
 
-    def admit(i, init):
-        """(Re)start row i; a degenerate start is re-drawn from the row's own
-        generator, and a row that fails four times is dropped (stays inactive)."""
-        value[i], sweeps[i] = -np.inf, 0
+    def redraw(i):
+        """Re-draw row i after a degenerate start or a failed half-step, from the
+        row's own generator; a row that fails four times is dropped (stays inactive)."""
+        value[i], sweeps[i], active[i] = -np.inf, 0, False
+        redraws[i] += 1
         while redraws[i] < 4:
-            try:
-                apply_filter_pair(state, FilterPair(*init))
-            except NumericalError:
-                redraws[i] += 1
-                init = random_filters(gens[i])
-                continue
-            A[i], B[i] = init
-            active[i] = iters > 0
-            return
-        active[i] = False
+            A[i:i + 1], B[i:i + 1] = random_filters([i])
+            if _success_weights(rho4, A[i], B[i])[1]:
+                active[i] = True
+                return
+            redraws[i] += 1
 
-    for i in range(restarts):
-        # the embedding |i><i| (i < min(t, d)), the rank-1 floor, then random filters
-        admit(i, (np.eye(t, dA, dtype=complex), np.eye(t, dB, dtype=complex)) if i == 0
-              else rank1_floor() if i == 1 else random_filters(gens[i]))
+    for i in np.flatnonzero(~active):
+        redraw(i)
 
     def sweep(idx):
         """One A then B half-step on rows idx.  A row stops once a sweep gains less
@@ -226,14 +261,13 @@ def _fd_seesaw(
                 try:
                     sweep(np.array([i]))
                 except np.linalg.LinAlgError:
-                    redraws[i] += 1
-                    admit(i, random_filters(gens[i]))
+                    redraw(i)
 
     alive = redraws < 4
     if not alive.any():
         raise OptimizationError("all see-saw restarts degenerated")
     best = int(np.flatnonzero(alive & (value >= value[alive].max() - 1e-12))[0])
-    fp = FilterPair(A[best], B[best])
+    fp = FilterPair(A[best], B[best]).normalized()
     try:
         overlap, weight = filter_ratio(state, fp)
         result = overlap / weight
@@ -314,19 +348,23 @@ def single_copy_distillable(
     "span(e1,e2) (x) B" slices of the transposed state; the local 2-spaces are
     refreshed from the SVD of the current best vector.  A negative value is a
     distillability certificate; otherwise the verdict is only "no violation
-    found within budget".
+    found within budget".  The search stops at the first violating attempt;
+    the report's ``iterations`` gives the sweeps of each attempt run and
+    ``best_restart`` the attempt that gave the value.
     """
     if budget < 1:
         raise ParameterError("need budget >= 1")
+    if iters < 1:
+        raise ParameterError("need iters >= 1")
     dA, dB = _cut_dims(state)
     pt4 = _global_cut_pt(state)
 
     rng = np.random.default_rng(seed)
-    best_val, best_vec = np.inf, None
+    best_val, best_vec, best_attempt, sweeps = np.inf, None, None, []
     for attempt in range(budget):
         fbasis = linalg.random_isometry_cols(rng, dB, min(2, dB))
         val, vec = np.inf, None
-        for _ in range(iters):
+        for sweep in range(1, iters + 1):
             prev = val
             lam_b, coeff = _subspace_step(pt4, fbasis, "B")
             c = coeff.reshape(dA, fbasis.shape[1]) @ fbasis.T
@@ -340,13 +378,14 @@ def single_copy_distillable(
             fbasis = np.linalg.svd(c)[2][: min(2, dB), :].conj().T
             if prev - val < 1e-13:
                 break
+        sweeps.append(sweep)
         if val < best_val:
-            best_val, best_vec = val, vec
+            best_val, best_vec, best_attempt = val, vec, attempt
         if best_val < -VIOLATION_TOL:
-            return WitnessReport(float(best_val), best_vec, budget_exhausted=False,
-                                 seed=seed, restarts=attempt + 1)
-    return WitnessReport(float(best_val), best_vec, budget_exhausted=True,
-                         seed=seed, restarts=budget)
+            break
+    return WitnessReport(float(best_val), best_vec, budget_exhausted=best_val >= -VIOLATION_TOL,
+                         seed=seed, restarts=len(sweeps), iterations=sweeps,
+                         best_restart=best_attempt)
 
 
 def n_copy_distillable(

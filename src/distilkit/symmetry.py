@@ -252,6 +252,10 @@ def best_product_mixture_distance(
     k = state.pairs
     if k < 2:
         raise ParameterError("need at least 2 pairs")
+    if restarts < 1:
+        raise ParameterError("need restarts >= 1")
+    if iters < 0:
+        raise ParameterError("need iters >= 0")
     sym = symmetrize(state)
     if states.trace_distance(sym, state) > 1e-9:
         raise ParameterError("input is not permutation-symmetric; symmetrize first")

@@ -74,6 +74,18 @@ class TestStateAndVerdicts:
         assert run(["ncopy", "--state", werner_file, "--n", "2", "--seed", "1",
                     "--budget", "4"]) == 1
 
+    def test_schmidt_search_artifacts_carry_diagnostics(self, capsys, tmp_path, werner_file):
+        capsys.readouterr()
+        for verb in (["undistill1"], ["ncopy", "--n", "2"]):
+            out = tmp_path / f"{verb[0]}.json"
+            assert run(verb + ["--state", werner_file, "--seed", "1", "--budget", "4",
+                               "--out", str(out)]) == 1
+            payload = read_json(out)
+            assert len(payload["iterations"]) == payload["restarts"]
+            assert 0 <= payload["best_restart"] < payload["restarts"]
+            assert payload["redraws"] is None
+            assert capsys.readouterr().out.count("\n") == 1
+
     def test_fd(self, tmp_path):
         spath = tmp_path / "phi.json"
         run(["state", "--family", "max_entangled", "--d", "3", "--out", str(spath)])
@@ -124,6 +136,24 @@ class TestScalarCommands:
         assert run(argv + ["--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and ">= 1" in captured.err and not out.exists()
+
+    @pytest.mark.parametrize("verb", [
+        ["f2", "--state", "S", "--iters", "0"], ["f2", "--state", "S", "--iters", "-1"],
+        ["fd", "--state", "S", "--D", "3", "--iters", "0"],
+        ["sweep", "--task", "f2", "--param", "p", "--values", "0.7", "--iters", "0"],
+        ["defclose", "--state", "P", "--restarts", "0"],
+        ["defclose", "--state", "P", "--iters", "-1"]])
+    def test_empty_search_is_usage_error(self, capsys, tmp_path, werner_file, verb):
+        power = tmp_path / "p2.json"
+        dk.save_state(dk.tensor_power(dk.werner_state(2, 0.8), 2), power)
+        out = tmp_path / "o.csv"
+        argv = [{"S": werner_file, "P": str(power)}.get(a, a) for a in verb]
+        capsys.readouterr()  # drop the fixture's summary line
+        assert run(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert ">= " in captured.err
 
     @pytest.mark.parametrize("field,value", [("dimA", 2.9), ("dimB", "2"), ("pairs", True)])
     def test_non_integer_state_dimensions_are_usage_errors(self, capsys, tmp_path, field, value):

@@ -21,6 +21,7 @@ from distilkit.distillability import (
     schmidt_rank2_filters,
 )
 from distilkit.errors import ParameterError
+from distilkit.states import to_global_cut
 from distilkit.symmetry import symmetrize_matrix
 
 from conftest import (explicit_twirl, per_entry_pairs, random_state, seesaw_reference,
@@ -104,6 +105,15 @@ class TestF2:
         with pytest.raises(ParameterError):
             dk.f2(phi_state(), restarts=0)
 
+    @pytest.mark.parametrize("iters", [0, -1])
+    def test_empty_seesaw_rejected(self, iters):
+        # no sweep would leave the unoptimized embedding start as the result
+        w = dk.werner_state(2, 0.7)
+        with pytest.raises(ParameterError, match="iters"):
+            dk.f2(w, iters=iters, seed=0)
+        with pytest.raises(ParameterError, match="iters"):
+            dk.fD(w, 3, iters=iters, seed=0)
+
     def test_annihilating_first_start_restarts(self):
         # |22><22| lies outside the embedding start's span{0, 1} (x) span{0, 1}; the
         # restart draws fresh filters and reaches the product-state value 1/2
@@ -146,6 +156,24 @@ class TestStackedSeesaw:
             if state.dimA == 3:
                 self.check(dk.fD(state, 3, restarts=5, seed=i),
                            seesaw_reference(state, 3, 5, seed=i))
+
+    @pytest.mark.parametrize("dA,dB", [(2, 3), (3, 2)])
+    def test_rectangular_cuts_match_per_restart_loop(self, dA, dB):
+        for s in range(3):
+            state = dk.BipartiteState(linalg.random_density(np.random.default_rng(40 + s), dA * dB),
+                                      dA, dB)
+            self.check(dk.f2(state, restarts=6, seed=s), seesaw_reference(state, 2, 6, seed=s))
+            self.check(dk.fD(state, 3, restarts=5, seed=s), seesaw_reference(state, 3, 5, seed=s))
+
+    def test_certificates_have_unit_spectral_norm(self, rng):
+        # the half-step scales by the Frobenius norm; the returned certificate is
+        # spectral-normalized once
+        cases = [(s, 2) for s in self.states()] + [(s, 3) for s in self.states() if s.dimA == 3]
+        cases += [(random_state(rng, 2, 3), 2), (random_state(rng, 2, 2, pairs=2), 3)]
+        for i, (state, t) in enumerate(cases):
+            rep = dk.f2(state, restarts=4, seed=i) if t == 2 else dk.fD(state, t, restarts=4, seed=i)
+            for filt in (rep.certificate.A, rep.certificate.B):
+                assert abs(np.linalg.norm(filt, 2) - 1.0) < 1e-12
 
     def test_iteration_cap_and_tolerance_per_restart(self):
         state = dk.construct_state(dk.StateFamilySpec(dk.Family.RANDOM_PPT, d=2), seed=21)
@@ -267,6 +295,42 @@ class TestRayleighStepOracle:
         self.check(state, other, t, side)
 
 
+class TestRayleighStepCuts:
+    """The half-step's index rearrangements where dA != dB, and on the global cut of
+    a two-pair state, single and stacked, against scipy's generalized eigensolver."""
+
+    @staticmethod
+    def cut(rng, name):
+        """(state, rho4, the global-cut matrix as a one-pair state for filter_forms)."""
+        if name == "2x2 two pairs":
+            state = random_state(rng, 2, 2, pairs=2)
+            flat = dk.BipartiteState(to_global_cut(state), 4, 4)
+        else:
+            state = flat = random_state(rng, *map(int, name.split("x")))
+        return state, flat.data.reshape(flat.dimA, flat.dimB, flat.dimA, flat.dimB), flat
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("t", [2, 3])
+    @pytest.mark.parametrize("name", ["2x3", "3x2", "2x2 two pairs"])
+    def test_single_and_stacked(self, rng, name, t, side):
+        state, rho4, flat = self.cut(rng, name)
+        d_other, d_free = (flat.dimB, flat.dimA) if side == "A" else (flat.dimA, flat.dimB)
+        others = rng.standard_normal((4, t, d_other)) + 1j * rng.standard_normal((4, t, d_other))
+        others /= np.linalg.norm(others, 2, axis=(1, 2), keepdims=True)
+        stacked = _rayleigh_step(rho4, others, t, side)
+        assert stacked[0].shape == (4, t, d_free) and stacked[1].shape == (4,)
+        for other, filt, value in zip(others, *stacked):
+            single = _rayleigh_step(rho4, other, t, side)
+            assert single[0].shape == (t, d_free) and np.ndim(single[1]) == 0
+            num, den = filter_forms(flat, other, t, side)
+            top = scipy.linalg.eigh(num, den, eigvals_only=True)[-1]
+            for new, val in (single, (filt, value)):
+                assert abs(val - top) < 1e-12
+                overlap, weight = filter_ratio(state, FilterPair(new, other) if side == "A"
+                                               else FilterPair(other, new))
+                assert abs(overlap / weight - val) < 1e-9
+
+
 class TestTwoQubitRoutes:
     """Independent routes for 2x2 states, where Schmidt rank <= 2 always holds."""
 
@@ -336,6 +400,30 @@ class TestSingleCopy:
         with pytest.raises(ParameterError, match="budget"):
             dk.n_copy_distillable(phi_state(), 2, budget=0)
 
+    def test_iters_below_one_rejected(self):
+        with pytest.raises(ParameterError, match="iters"):
+            dk.single_copy_distillable(phi_state(), iters=0)
+
+    def test_diagnostics_name_the_attempts_run(self):
+        ppt = [dk.construct_state(dk.StateFamilySpec(dk.Family.RANDOM_PPT, d), seed=s)
+               for d, s in ((2, 3), (3, 0))]
+        cases = [(ppt[0], 5, 0), (dk.werner_state(3, 0.55), 4, 1), (dk.werner_state(2, 0.7), 4, 2),
+                 (dk.construct_state(dk.StateFamilySpec(dk.Family.RANDOM_MIXED, 3), seed=2), 6, 3),
+                 (ppt[1], 5, 0)]  # the last attempt wins here
+        for state, budget, seed in cases:
+            rep = dk.single_copy_distillable(state, budget=budget, seed=seed, iters=60)
+            assert rep.redraws is None
+            assert len(rep.iterations) == rep.restarts and all(1 <= n <= 60 for n in rep.iterations)
+            assert rep.restarts == (budget if rep.budget_exhausted else rep.best_restart + 1)
+            # the attempts share one generator, so the winning attempt's prefix of the
+            # budget reproduces the value and the sweeps bit for bit
+            k = rep.best_restart + 1
+            prefix = dk.single_copy_distillable(state, budget=k, seed=seed, iters=60)
+            assert prefix.value == rep.value and np.array_equal(prefix.certificate, rep.certificate)
+            assert prefix.iterations == rep.iterations[:k]
+            if k > 1:
+                assert dk.single_copy_distillable(state, budget=k - 1, seed=seed).value > rep.value
+
     def test_ppt_state_never_violates(self):
         for seed in range(3):
             s = dk.construct_state(dk.StateFamilySpec(dk.Family.RANDOM_PPT, 2), seed=seed)
@@ -389,6 +477,12 @@ class TestNCopy:
     def test_phi2_two_copies(self):
         rep = dk.n_copy_distillable(phi_state(), 2, budget=4, seed=0)
         assert rep.value < -1e-9
+
+    def test_report_carries_search_diagnostics(self):
+        rep = dk.n_copy_distillable(dk.werner_state(2, 0.6), 2, budget=3, seed=1)
+        assert rep.restarts == len(rep.iterations) and 0 <= rep.best_restart < rep.restarts
+        payload = rep.to_dict()
+        assert payload["iterations"] == rep.iterations and payload["redraws"] is None
 
     def test_ppt_tensor_stability(self):
         s = dk.construct_state(dk.StateFamilySpec(dk.Family.RANDOM_PPT, 2), seed=8)

@@ -344,6 +344,22 @@ class TestBestProductMixtureDistance:
         with pytest.raises(ParameterError):
             dk.best_product_mixture_distance(dk.tensor(a, b), restarts=1, iters=1, seed=0)
 
+    @pytest.mark.parametrize("restarts,iters,match", [(0, 4, "restarts"), (-1, 4, "restarts"),
+                                                      (1, -1, "iters")])
+    def test_empty_search_rejected(self, rng, restarts, iters, match):
+        rho = random_state(rng, 2, 2)
+        with pytest.raises(ParameterError, match=match):
+            dk.best_product_mixture_distance(dk.tensor(rho, rho), restarts=restarts,
+                                             iters=iters, seed=0)
+
+    def test_zero_perturbation_rounds_keep_the_weight_step(self, rng):
+        # iters counts perturbation rounds after the weight step; the marginal
+        # guess alone resolves an exact power
+        rho = random_state(rng, 2, 2)
+        val, _ = dk.best_product_mixture_distance(dk.tensor(rho, rho), restarts=1, iters=0,
+                                                  seed=1, support=6)
+        assert 0 <= val <= 1e-6
+
 
 class TestEnsembleJson:
     def test_roundtrip(self, tmp_path, rng):
