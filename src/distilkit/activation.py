@@ -1,6 +1,6 @@
 """Single-copy activation protocol: local maximally-entangled projections on
 an activator-target pair, the induced-map proportionality check, the
-activation sign witness, and activator search.
+activation sign witness, and its exact minimum over all activators.
 
 Space layout: the activator rho lives on C^d (x) C^d (systems A1|B1); the
 target sigma is a single-pair state with local dimension 2d per side, read as
@@ -75,18 +75,20 @@ def apply_activation(instance: ActivationInstance) -> tuple[np.ndarray, float]:
     return apply_filter_pair(_joint_state(instance), activation_filters(instance.d))
 
 
-def _sigma_pairing_operator(rho: BipartiteState, z: np.ndarray) -> np.ndarray:
-    """Operator rho^T (x) Z woven into the target's A2 A3 B2 B3 factor order."""
-    d = rho.dimA
-    raw = np.kron(rho.data.T, z)  # order A2 B2 A3 B3
-    return linalg.permute_factors(raw, (d, d, 2, 2), (0, 2, 1, 3))
+def _pairing_matrix(sigma: BipartiteState, z: np.ndarray) -> np.ndarray:
+    """M = tr_{A3B3}[sigma (I (x) z)] in A2B2 order, so that
+    tr[sigma (rho^T (x) z)] = tr[rho^T M] for every activator rho."""
+    d = sigma.dimA // 2
+    s = sigma.data.reshape((d, 2) * 4)  # (a2, a3, b2, b3; a2', a3', b2', b3')
+    m = np.einsum("ipjqkrls,rspq->ijkl", s, z.reshape(2, 2, 2, 2)).reshape(d * d, d * d)
+    return (m + m.conj().T) / 2
 
 
 def target_pairing(rho: BipartiteState, sigma: BipartiteState, z: np.ndarray) -> float:
     """tr[sigma (rho^T (x) Z)], the induced-map side of the proportionality identity."""
     if sigma.dimA != 2 * rho.dimA or sigma.dimB != 2 * rho.dimB:
         raise ParameterError("target local dimensions must equal 2d")
-    return float(np.real(np.trace(sigma.data @ _sigma_pairing_operator(rho, z))))
+    return float(np.real(np.trace(rho.data.T @ _pairing_matrix(sigma, z))))
 
 
 def jam_check(
@@ -115,11 +117,13 @@ def jam_check(
     return c, dev
 
 
+_WITNESS_Z = np.eye(4) / 2.0 - phi_projector(2)
+
+
 def activation_witness(rho: BipartiteState, sigma: BipartiteState) -> float:
     """tr[sigma (rho^T (x) (I/2 - phi_2))]; negative exactly when the filtered
     two-qubit output has maximally-entangled fidelity above 1/2."""
-    z = np.eye(4) / 2.0 - phi_projector(2)
-    return target_pairing(rho, sigma, z)
+    return target_pairing(rho, sigma, _WITNESS_Z)
 
 
 def evaluate_activation(rho: BipartiteState, sigma: BipartiteState) -> tuple[float, float, float]:
@@ -139,7 +143,7 @@ class ActivationSearchReport:
     fidelity: Optional[float]
     success_weight: Optional[float]
     budget_exhausted: bool
-    candidates: int
+    gap: float
 
     def to_dict(self) -> dict:
         return {
@@ -148,54 +152,33 @@ class ActivationSearchReport:
             "success_weight": None if self.success_weight is None else float(self.success_weight),
             "rho": states.state_to_dict(self.rho),
             "budget_exhausted": bool(self.budget_exhausted),
-            "candidates": int(self.candidates),
+            "gap": float(self.gap),
         }
 
 
-def search_activator(
-    sigma: BipartiteState,
-    budget: int = 2000,
-    seed: Optional[int] = None,
-) -> ActivationSearchReport:
-    """Scan candidate activators for the most negative activation witness.
+def search_activator(sigma: BipartiteState) -> ActivationSearchReport:
+    """The activator with the least activation witness, by one eigensolve.
 
-    Candidates: the maximally entangled state, isotropic and Werner sweeps,
-    then random draws and local perturbations of the best candidate so far,
-    half each.  Never claims nonexistence: if no negative witness shows up
-    within the budget the report only notes that the budget is exhausted.
+    The witness is linear in the activator, tr[rho^T M] with M the pairing
+    matrix of I/2 - phi_2, so its minimum over all states is the least
+    eigenvalue of M, attained at rho = (|v><v|)^T for a bottom eigenvector v.
+    ``gap`` is the distance to the next eigenvalue; zero means the optimal
+    activator is not unique.  A nonnegative minimum rules out activation by
+    this projection protocol only; a negative one says nothing about the
+    target's own distillability.
     """
-    if budget < 1:
-        raise ParameterError("need budget >= 1")
-    if sigma.dimA != sigma.dimB or sigma.dimA % 2 != 0:
-        raise ParameterError("target local dimension must be even (d x 2 per side)")
-    if not np.isfinite(sigma.data).all():  # a NaN witness never becomes the best
-        raise ParameterError("target entries must be finite")
     d = sigma.dimA // 2
-    sweep = [BipartiteState(phi_projector(d), d, d)] + [
-        make(d, float(p)) for make in (states.isotropic_state, states.werner_state)
-        for p in np.linspace(0.2, 1.0, 9)]
-    rng = np.random.default_rng(seed)
-    best, best_val, tried = None, np.inf, 0
-    while tried < budget:
-        if tried < len(sweep):
-            rho = sweep[tried]
-        elif rng.random() < 0.5:
-            rho = BipartiteState(linalg.random_density(rng, d * d), d, d)
-        else:
-            cand = linalg.psd_project(best.data + 0.2 * linalg.random_hermitian(rng, d * d))
-            tr = np.trace(cand).real
-            if tr < 1e-12:
-                continue
-            rho = BipartiteState(cand / tr, d, d)
-        tried += 1
-        val = activation_witness(rho, sigma)
-        if val < best_val:
-            best_val, best = val, rho
-
+    if sigma.pairs != 1 or sigma.dimA != sigma.dimB or sigma.dimA != 2 * d or d < 2:
+        raise ParameterError("target must be one pair of local dimension 2d >= 4 (d x 2 per side)")
+    if not np.isfinite(sigma.data).all():  # eigh does not reject NaN or inf
+        raise ParameterError("target entries must be finite")
+    evals, evecs = np.linalg.eigh(_pairing_matrix(sigma, _WITNESS_Z))
+    v = evecs[:, 0]
+    rho = BipartiteState(np.outer(v, v.conj()).T, d, d)
     try:
-        _, fidelity, weight = evaluate_activation(best, sigma)
+        _, fidelity, weight = evaluate_activation(rho, sigma)
     except NumericalError:
         fidelity = weight = None
-    return ActivationSearchReport(best, float(best_val), fidelity, weight,
-                                  budget_exhausted=not best_val < -VIOLATION_TOL,
-                                  candidates=tried)
+    return ActivationSearchReport(rho, float(evals[0]), fidelity, weight,
+                                  budget_exhausted=not evals[0] < -VIOLATION_TOL,
+                                  gap=float(evals[1] - evals[0]))

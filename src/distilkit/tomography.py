@@ -373,8 +373,7 @@ def load_counts(path) -> OutcomeCounts:
     with open(path, newline="") as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
     reader = csv.reader(lines)
-    header = next(reader)
-    if header != ["outcome_index", "count"]:
+    if next(reader, None) != ["outcome_index", "count"]:
         raise ParameterError("bad counts header")
     for idx, c in reader:
         rows.append((int(idx), int(c)))

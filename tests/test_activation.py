@@ -190,6 +190,21 @@ class TestActivationWitness:
             rho = dk.construct_state(dk.StateFamilySpec(dk.Family.RANDOM_PPT, d), seed=seed)
             assert dk.activation_witness(rho, sigma) >= -1e-9
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_ppt_activator_on_ppt_target_is_nonnegative(self, d, seed):
+        # PPT (x) PPT stays PPT and the local projections keep it PPT, so the two-qubit
+        # output is PPT and its phi_2 fidelity at most 1/2 (Horodecki, PRL 80, 5239)
+        activators = (dk.werner_state(d, 0.5), dk.isotropic_state(d, 1 / (d + 1)))
+        target = dk.construct_state(dk.StateFamilySpec(dk.Family.RANDOM_PPT, 2 * d), seed=seed)
+        boundary = dk.pair_product(dk.isotropic_state(d, 1 / (d + 1)), dk.isotropic_state(2, 1 / 3))
+        for rho in activators:
+            assert dk.is_ppt(rho)[0]
+            assert dk.activation_witness(rho, target) >= -1e-9
+            # the qubit factor has phi_2 fidelity exactly 1/2, so the witness is 0
+            assert abs(dk.activation_witness(rho, boundary)) <= 1e-15
+
     def test_maximally_mixed_activator_value(self):
         # the pairing factorizes through the A3B3 marginal; with sigma maximally
         # mixed it equals (1/d^2) tr[(I_4/4)(I/2 - phi_2)] = 1/(4 d^2)
@@ -224,15 +239,43 @@ class TestActivationWitness:
             dk.activation_witness(random_state(rng, 2, 2), random_state(rng, 3, 3))
 
 
+def pairing_by_matrix_units(sigma: dk.BipartiteState, z: np.ndarray) -> np.ndarray:
+    """M with tr[sigma (rho^T (x) z)] = tr[rho^T M], entry by entry: M[b, a] is the
+    pairing of the matrix unit |a><b| (x) z, woven into A2 A3 B2 B3 by kron."""
+    d = sigma.dimA // 2
+    m = np.zeros((d * d, d * d), dtype=complex)
+    for a, b in itertools.product(range(d * d), repeat=2):
+        unit = np.zeros((d * d, d * d))
+        unit[a, b] = 1.0
+        op = linalg.permute_factors(np.kron(unit, z), (d, d, 2, 2), (0, 2, 1, 3))
+        m[b, a] = np.trace(sigma.data @ op)
+    return m
+
+
+def old_sweep(d):
+    """The fixed candidates of the former sampled search."""
+    return [phi_state(d)] + [make(d, float(p)) for make in (dk.isotropic_state, dk.werner_state)
+                             for p in np.linspace(0.2, 1.0, 9)]
+
+
+class TestPairingMatrix:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_matrix_unit_route(self, d, rng):
+        sigma = random_state(rng, 2 * d, 2 * d)
+        for z in (np.eye(4), PHI2, linalg.random_density(rng, 4)):
+            ref = pairing_by_matrix_units(sigma, z)
+            assert np.max(np.abs(dk.activation._pairing_matrix(sigma, z) - ref)) < 1e-12
+
+
 class TestSearchActivator:
     def test_embedded_phi2_found_immediately(self):
-        d = 2
-        sigma = dk.pair_product(phi_state(d), phi_state(2))
-        rep = dk.search_activator(sigma, budget=5, seed=1)
-        assert not rep.budget_exhausted
-        assert rep.witness < -0.4
-        assert rep.fidelity >= 1 - 1e-9
-        assert np.max(np.abs(rep.rho.data - phi_state(d).data)) < 1e-12
+        for d in (2, 3):
+            rep = dk.search_activator(dk.pair_product(phi_state(d), phi_state(2)))
+            assert not rep.budget_exhausted
+            assert abs(rep.witness + 0.5) < 1e-12
+            assert abs(rep.gap - 0.5) < 1e-12
+            assert abs(rep.fidelity - 1.0) < 1e-12
+            assert np.max(np.abs(rep.rho.data - phi_state(d).data)) < 1e-12
 
     def test_npt_correlated_target_activated(self):
         # entangled target correlating the teleported block with the output qubits
@@ -241,41 +284,78 @@ class TestSearchActivator:
             + 0.4 * np.eye(16) / 16
         sigma = dk.BipartiteState(sigma_data, 2 * d, 2 * d)
         assert not dk.is_ppt(sigma)[0]
-        rep = dk.search_activator(sigma, budget=10_000, seed=2)
+        rep = dk.search_activator(sigma)
         assert not rep.budget_exhausted
         assert rep.witness < -1e-9
         # certificate re-evaluates to the reported value
         assert abs(dk.activation_witness(rep.rho, sigma) - rep.witness) < 1e-9
 
+    def test_noisy_target_missed_by_sampling(self):
+        # q (tau (x) phi_2) + (1 - q) I/36 at d = 3, q = 0.2: 2000 sampled candidates
+        # all gave a positive witness here, but the exact minimum is negative
+        tau = dk.BipartiteState(linalg.random_density(np.random.default_rng(1), 9), 3, 3)
+        data = 0.2 * dk.pair_product(tau, phi_state(2)).data + 0.8 * np.eye(36) / 36
+        rep = dk.search_activator(dk.BipartiteState(data, 6, 6))
+        assert abs(rep.witness + 1.736e-2) < 1e-6
+        assert not rep.budget_exhausted
+        assert rep.fidelity > 0.5
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_minimum_lies_below_every_activator(self, d, seed):
+        rng = np.random.default_rng(seed)
+        sigma = random_state(rng, 2 * d, 2 * d)
+        rep = dk.search_activator(sigma)
+        assert rep.gap >= 0
+        assert abs(dk.activation_witness(rep.rho, sigma) - rep.witness) < 1e-12
+        for rho in [random_state(rng, d, d) for _ in range(5)] + old_sweep(d):
+            assert rep.witness <= dk.activation_witness(rho, sigma) + 1e-12
+
     def test_separable_target_exhausts_budget(self, rng):
         sigma = separable_product_target(rng, 2, terms=4)
-        rep = dk.search_activator(sigma, budget=300, seed=3)
+        rep = dk.search_activator(sigma)
         assert rep.budget_exhausted
         assert rep.witness >= -1e-9
 
     def test_degenerate_best_candidate_reports_no_fidelity(self):
-        # target |01><01| (x) |01><01|: every witness is rho_{01,01} / 2 >= 0, the first
-        # candidate phi_2 attains 0, and its projection annihilates the target
+        # target |01><01| (x) |01><01|: every witness is rho_{01,01} / 2 >= 0, the
+        # minimum 0 is threefold, and every minimizer's projection annihilates the target
         ket01 = dk.construct_state(dk.StateFamilySpec(dk.Family.PRODUCT_PURE, 2, {"i": 0, "j": 1}))
-        rep = dk.search_activator(dk.pair_product(ket01, ket01), budget=40, seed=0)
-        assert np.array_equal(rep.rho.data, phi_state(2).data)
-        assert rep.witness == 0.0 and rep.budget_exhausted
+        rep = dk.search_activator(dk.pair_product(ket01, ket01))
+        assert rep.witness == 0.0 and rep.gap == 0.0 and rep.budget_exhausted
         assert rep.fidelity is None and rep.success_weight is None
         assert rep.to_dict()["fidelity"] is None
 
-    def test_budget_below_one_rejected(self):
-        sigma = dk.pair_product(phi_state(2), phi_state(2))
-        with pytest.raises(ParameterError, match="budget"):
-            dk.search_activator(sigma, budget=0)
+    def test_activation_of_a_separable_target(self):
+        # phi_{A2A3} (x) phi_{B2B3} is a product across Alice | Bob, yet the NPT activator
+        # phi_2 swaps its entanglement onto A3B3: a negative minimum says nothing about
+        # the target's own distillability
+        sigma = dk.BipartiteState(np.kron(PHI2, PHI2), 4, 4)
+        assert dk.is_ppt(sigma)[0]
+        rep = dk.search_activator(sigma)
+        assert abs(rep.witness + 1 / 8) < 1e-12
+        assert abs(rep.gap - 1 / 4) < 1e-12
+        assert abs(rep.fidelity - 1.0) < 1e-12
+        assert np.max(np.abs(rep.rho.data - PHI2)) < 1e-12
+        assert not dk.is_ppt(rep.rho)[0]
+
+    @pytest.mark.parametrize("dims", [(2, 2, 1), (6, 4, 1), (5, 5, 1), (4, 4, 2)])
+    def test_target_shape_rejected(self, dims):
+        dimA, dimB, pairs = dims
+        size = (dimA * dimB) ** pairs
+        sigma = dk.BipartiteState(np.eye(size) / size, dimA, dimB, pairs)
+        with pytest.raises(ParameterError, match="local dimension 2d"):
+            dk.search_activator(sigma)
 
     def test_non_finite_target_rejected(self):
         sigma = dk.BipartiteState(np.full((16, 16), np.nan), 4, 4)
         with pytest.raises(ParameterError, match="finite"):
-            dk.search_activator(sigma, budget=30, seed=0)
+            dk.search_activator(sigma)
 
     def test_report_serializable(self):
         d = 2
         sigma = dk.pair_product(phi_state(d), phi_state(2))
-        rep = dk.search_activator(sigma, budget=3, seed=1)
-        payload = rep.to_dict()
-        assert set(payload) >= {"witness", "fidelity", "success_weight", "rho"}
+        payload = dk.search_activator(sigma).to_dict()
+        assert set(payload) == {"witness", "fidelity", "success_weight", "rho",
+                                "budget_exhausted", "gap"}

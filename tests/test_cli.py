@@ -332,17 +332,25 @@ class TestActivationCommands:
         assert run(["jam-check", "--rho", str(rho), "--sigma", str(sig),
                     "--trials", "10", "--seed", "1"]) == 0
 
-    def test_activate_search_embedded_phi2(self, tmp_path):
+    def test_activate_search_embedded_phi2(self, capsys, tmp_path):
         phi2 = dk.construct_state(dk.StateFamilySpec(dk.Family.MAX_ENTANGLED, 2))
         sigma = dk.pair_product(phi2, phi2)
         sig = tmp_path / "s.json"
         dk.save_state(sigma, sig)
         out = tmp_path / "a.json"
-        code = run(["activate-search", "--sigma", str(sig), "--budget", "5",
-                    "--seed", "1", "--out", str(out)])
+        code = run(["activate-search", "--sigma", str(sig), "--seed", "1", "--out", str(out)])
         assert code == 1
+        line = capsys.readouterr().out
+        fields = dict(kv.split("=") for kv in line.split())
+        assert set(fields) == {"witness", "found", "gap"} and fields["found"] == "True"
+        # the hidden --budget is accepted and ignored
+        assert run(["activate-search", "--sigma", str(sig), "--budget", "5"]) == 1
+        assert capsys.readouterr().out == line
         payload = read_json(out)
         assert payload["fidelity"] >= 1 - 1e-9
+        assert set(payload) == {"witness", "fidelity", "success_weight", "rho",
+                                "budget_exhausted", "gap", "meta"}
+        assert abs(payload["witness"] + 0.5) < 1e-12 and abs(payload["gap"] - 0.5) < 1e-12
 
     def test_activate_check(self, tmp_path):
         phi2 = dk.construct_state(dk.StateFamilySpec(dk.Family.MAX_ENTANGLED, 2))
@@ -361,8 +369,7 @@ class TestActivationCommands:
         check, search = tmp_path / "check.json", tmp_path / "search.json"
         assert run(["activate-check", "--rho", str(rho), "--sigma", str(sig),
                     "--out", str(check)]) == 1
-        assert run(["activate-search", "--sigma", str(sig), "--budget", "3",
-                    "--out", str(search)]) == 1
+        assert run(["activate-search", "--sigma", str(sig), "--out", str(search)]) == 1
         for path in (check, search):
             payload = read_json(path)
             assert abs(payload["fidelity"] - 1.0) < 1e-12
@@ -378,15 +385,6 @@ class TestActivationCommands:
         assert run(["activate-check", "--rho", str(rpath), "--sigma", str(spath),
                     "--out", str(out)]) == 3
         assert "degenerate post-selection" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_activate_search_budget_below_one_is_usage_error(self, capsys, tmp_path):
-        phi2 = dk.construct_state(dk.StateFamilySpec(dk.Family.MAX_ENTANGLED, 2))
-        sig, out = tmp_path / "s.json", tmp_path / "a.json"
-        dk.save_state(dk.pair_product(phi2, phi2), sig)
-        assert run(["activate-search", "--sigma", str(sig), "--budget", "0",
-                    "--out", str(out)]) == 2
-        assert "need budget >= 1" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -316,6 +316,13 @@ class TestCountsCsv:
         with pytest.raises(ParameterError):
             tomography.load_counts(path)
 
+    @pytest.mark.parametrize("text", ["", "# c\n"])
+    def test_missing_header_rejected(self, tmp_path, text):
+        path = tmp_path / "c.csv"
+        path.write_text(text)
+        with pytest.raises(ParameterError, match="bad counts header"):
+            tomography.load_counts(path)
+
     def test_negative_counts_rejected(self):
         with pytest.raises(ParameterError):
             tomography.OutcomeCounts((5, 5, -3), 7)
