@@ -393,10 +393,9 @@ def n_copy_distillable(
     n: int,
     budget: int = 20,
     seed: Optional[int] = None,
-    dim_cap: int = states.DIM_CAP,
 ) -> WitnessReport:
     """Run the Schmidt-rank-2 search on the n-fold tensor power."""
-    power = states.tensor_power(state, n, dim_cap=dim_cap)
+    power = states.tensor_power(state, n)
     return single_copy_distillable(power, budget=budget, seed=seed)
 
 

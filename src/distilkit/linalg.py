@@ -52,44 +52,12 @@ def permute_factors(mat: np.ndarray, dims: tuple[int, ...], perm: tuple[int, ...
     return full.transpose(axes).reshape(side, side)
 
 
-def permutation_index_map(dims: tuple[int, ...], perm: tuple[int, ...]) -> np.ndarray:
-    """Index map ``src`` with ``(P rho P^dag)[i, j] = rho[src[i], src[j]]``.
-
-    ``P`` moves the factor at old position ``perm[j]`` to position ``j``
-    (same convention as :func:`permute_factors`).
-    """
-    n = len(dims)
-    size = int(np.prod(dims))
-    multi = np.unravel_index(np.arange(size), tuple(dims[p] for p in perm))
-    src_axes = [None] * n
-    for new_pos, old_pos in enumerate(perm):
-        src_axes[old_pos] = multi[new_pos]
-    return np.ravel_multi_index(tuple(src_axes), dims)
-
-
 def vec(m: np.ndarray) -> np.ndarray:
     return m.reshape(-1)
 
 
 def unvec(v: np.ndarray, n: int) -> np.ndarray:
     return v.reshape(n, n)
-
-
-def hermitian_basis(m: int) -> list[np.ndarray]:
-    """Orthonormal basis of Hermitian m x m matrices (Hilbert-Schmidt inner product)."""
-    basis = [np.eye(m, dtype=complex) / np.sqrt(m)]
-    for l in range(1, m):
-        d = np.zeros(m)
-        d[:l] = 1.0
-        d[l] = -l
-        basis.append(np.diag(d).astype(complex) / np.sqrt(l * (l + 1)))
-    for j in range(m):
-        for k in range(j + 1, m):
-            e = np.zeros((m, m), dtype=complex)
-            e[j, k] = 1.0
-            basis.append((e + e.T) / np.sqrt(2))
-            basis.append((1j * e + (1j * e).conj().T) / np.sqrt(2))
-    return basis
 
 
 def psd_project(h: np.ndarray) -> np.ndarray:

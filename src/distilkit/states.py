@@ -210,25 +210,25 @@ def construct_state(spec: StateFamilySpec, seed: Optional[int] = None) -> Bipart
     raise ParameterError(f"unknown family {spec.family!r}")
 
 
-def tensor(a: BipartiteState, b: BipartiteState, dim_cap: int = DIM_CAP) -> BipartiteState:
+def tensor(a: BipartiteState, b: BipartiteState) -> BipartiteState:
     """Tensor product; pair counts add and the pair-major index order is kept."""
     if (a.dimA, a.dimB) != (b.dimA, b.dimB):
         raise ParameterError("pair dimensions must match to concatenate pair lists")
     dim = a.pair_dim ** (a.pairs + b.pairs)
-    if dim > dim_cap:
-        raise CapacityError(f"result dimension {dim} exceeds cap {dim_cap}")
+    if dim > DIM_CAP:
+        raise CapacityError(f"result dimension {dim} exceeds cap {DIM_CAP}")
     return BipartiteState(np.kron(a.data, b.data), a.dimA, a.dimB, a.pairs + b.pairs)
 
 
-def tensor_power(state: BipartiteState, n: int, dim_cap: int = DIM_CAP) -> BipartiteState:
+def tensor_power(state: BipartiteState, n: int) -> BipartiteState:
     if n < 1:
         raise ParameterError("tensor power needs n >= 1")
     dim = state.dim ** n
-    if dim > dim_cap:
-        raise CapacityError(f"result dimension {dim} exceeds cap {dim_cap}")
+    if dim > DIM_CAP:
+        raise CapacityError(f"result dimension {dim} exceeds cap {DIM_CAP}")
     out = state
     for _ in range(n - 1):
-        out = tensor(out, state, dim_cap=dim_cap)
+        out = tensor(out, state)
     return out
 
 

@@ -63,27 +63,20 @@ class Ensemble:
         return BipartiteState(acc, m.dimA, m.dimB)
 
 
-def _pair_perm_sources(k: int, pair_dim: int, perm: Permutation) -> np.ndarray:
-    """Composite-index source map for conjugation by the pair permutation operator."""
-    # factor that lands at slot j comes from slot perm^{-1}(j)
-    inv = perm.inverse().mapping
-    zero_based = tuple(i - 1 for i in inv)
-    return linalg.permutation_index_map((pair_dim,) * k, zero_based)
-
-
-def permutation_operator(perm: Permutation, pair_dim: int, dim_cap: int = DIM_CAP) -> np.ndarray:
+def permutation_operator(perm: Permutation, pair_dim: int) -> np.ndarray:
     """Unitary 0/1 matrix permuting whole pairs.
 
     P |i_1 ... i_k> = |i_{perm^{-1}(1)} ... i_{perm^{-1}(k)}>, which gives the
-    homomorphism P_a P_b = P_{a.compose(b)}.
+    homomorphism P_a P_b = P_{a.compose(b)}; it is the identity with its row
+    factors reordered by perm^{-1}.
     """
-    size = pair_dim ** perm.k
-    if size > dim_cap:
-        raise CapacityError(f"operator dimension {size} exceeds cap {dim_cap}")
-    src = _pair_perm_sources(perm.k, pair_dim, perm)
-    op = np.zeros((size, size))
-    op[np.arange(size), src] = 1.0
-    return op
+    k = perm.k
+    size = pair_dim ** k
+    if size > DIM_CAP:
+        raise CapacityError(f"operator dimension {size} exceeds cap {DIM_CAP}")
+    rows = tuple(i - 1 for i in perm.inverse().mapping)
+    eye = np.eye(size).reshape((pair_dim,) * (2 * k))
+    return eye.transpose(rows + tuple(range(k, 2 * k))).reshape(size, size)
 
 
 def all_permutations(k: int):
@@ -150,15 +143,15 @@ def definetti_bound(d: int, k: int, n: int) -> float:
     return 4.0 * d ** 4 * k / n
 
 
-def mixture_of_powers(ensemble: Ensemble, k: int, dim_cap: int = DIM_CAP) -> BipartiteState:
+def mixture_of_powers(ensemble: Ensemble, k: int) -> BipartiteState:
     """sum_i w_i rho_i^(x k): a permutation-symmetric extension whose every
     single-pair marginal equals the ensemble average."""
     if k < 1:
         raise ParameterError("k must be >= 1")
     m = ensemble.members[0]
     dim = m.pair_dim ** k
-    if dim > dim_cap:
-        raise CapacityError(f"result dimension {dim} exceeds cap {dim_cap}")
+    if dim > DIM_CAP:
+        raise CapacityError(f"result dimension {dim} exceeds cap {DIM_CAP}")
     acc = np.zeros((dim, dim), dtype=complex)
     for w, member in zip(ensemble.weights, ensemble.members):
         power = member.data

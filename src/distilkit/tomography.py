@@ -24,20 +24,29 @@ from .symmetry import Ensemble
 
 @dataclass(frozen=True)
 class Frame:
-    """Informationally complete POVM with its dual frame.
+    """Informationally complete POVM with its dual frame, as two ``(K, m, m)`` stacks.
 
-    ``elements`` are m^2 PSD operators on C^m summing to the identity;
+    ``elements`` are K = m^2 PSD operators on C^m summing to the identity;
     ``duals`` invert the linear map X -> (tr[A_i X])_i, i.e.
     X = sum_i tr[A_i X] duals[i] for every operator X.
     """
 
-    dim: int
-    elements: tuple[np.ndarray, ...]
-    duals: tuple[np.ndarray, ...]
+    elements: np.ndarray
+    duals: np.ndarray
+
+    def __post_init__(self):
+        for name in ("elements", "duals"):
+            arr = np.asarray(getattr(self, name), dtype=complex).copy()
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def dim(self) -> int:
+        return self.elements.shape[1]
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.elements)
+        return self.elements.shape[0]
 
 
 @dataclass(frozen=True)
@@ -57,72 +66,47 @@ class OutcomeCounts:
         return np.asarray(self.counts, dtype=float) / self.shots
 
 
-def dual_frame(elements: list[np.ndarray]) -> tuple[np.ndarray, ...]:
-    """Dual operators via inversion of the frame superoperator in a Hermitian basis."""
-    m = elements[0].shape[0]
-    if len(elements) != m * m:
-        raise FrameError(f"need exactly {m * m} elements for a minimal frame, got {len(elements)}")
-    basis = linalg.hermitian_basis(m)
-    mat = np.array([[np.real(np.trace(a @ h)) for h in basis] for a in elements])
-    if np.linalg.matrix_rank(mat, tol=1e-10) < m * m:
+def dual_frame(elements: np.ndarray) -> np.ndarray:
+    """Duals of a minimal frame: the columns of M^-1, where row i of the
+    measurement matrix M is vec(A_i^T), so that M vec(X) = (tr[A_i X])_i."""
+    a = np.asarray(elements, dtype=complex)
+    k, m = a.shape[:2]
+    if k != m * m:
+        raise FrameError(f"need exactly {m * m} elements for a minimal frame, got {k}")
+    mat = a.transpose(0, 2, 1).reshape(k, k)
+    if np.linalg.matrix_rank(mat, tol=1e-10) < k:
         raise FrameError("elements do not span the operator space")
-    inv = np.linalg.inv(mat)
-    duals = []
-    for i in range(m * m):
-        duals.append(sum(inv[alpha, i] * basis[alpha] for alpha in range(m * m)))
-    return tuple(duals)
-
-
-def make_frame(elements: list[np.ndarray]) -> Frame:
-    """Validate a POVM element list and attach its dual frame."""
-    m = elements[0].shape[0]
-    total = sum(elements)
-    if np.max(np.abs(total - np.eye(m))) > 1e-10:
-        raise FrameError("elements do not sum to the identity")
-    for a in elements:
-        if linalg.min_eig(a) < -1e-10:
-            raise FrameError("element is not positive semidefinite")
-    duals = dual_frame(list(elements))
-    frozen = []
-    for a in elements:
-        arr = np.asarray(a, dtype=complex).copy()
-        arr.setflags(write=False)
-        frozen.append(arr)
-    return Frame(m, tuple(frozen), duals)
+    return np.linalg.inv(mat).T.reshape(k, m, m)
 
 
 def minimal_ic_povm(m: int) -> Frame:
     """Minimal IC-POVM from the rank-1 family |e_j>, (|e_j>+|e_k>)/sqrt2,
     (|e_j>+i|e_k>)/sqrt2 (j<k), rescaled into a resolution of the identity
-    by S^(-1/2) . S^(-1/2) where S is the family sum."""
+    by S^(-1/2) . S^(-1/2) where S >= I is the family sum."""
     if m < 2:
         raise ParameterError("need dimension m >= 2")
     eye = np.eye(m, dtype=complex)
-    kets = [eye[j] for j in range(m)]
-    for j in range(m):
-        for k in range(j + 1, m):
-            kets.append((eye[j] + eye[k]) / np.sqrt(2))
-            kets.append((eye[j] + 1j * eye[k]) / np.sqrt(2))
-    projs = [np.outer(v, v.conj()) for v in kets]
-    s = sum(projs)
-    w, v = np.linalg.eigh(linalg.hermitize(s))
-    if w[0] <= 1e-12:
-        raise FrameError("frame sum is singular")
+    j, k = np.triu_indices(m, 1)
+    pairs = np.stack([eye[j] + eye[k], eye[j] + 1j * eye[k]], axis=1) / np.sqrt(2)
+    kets = np.concatenate([eye, pairs.reshape(-1, m)])
+    projs = kets[:, :, None] * kets[:, None, :].conj()
+    w, v = np.linalg.eigh(projs.sum(axis=0))
     s_inv_half = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    elements = [linalg.hermitize(s_inv_half @ p @ s_inv_half) for p in projs]
-    return make_frame(elements)
+    elements = linalg.hermitize(s_inv_half @ projs @ s_inv_half)
+    return Frame(elements, dual_frame(elements))
+
+
+def _kron_stacks(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Stack of np.kron(x[i], y[j]), flattened as i * len(y) + j."""
+    k, m = x.shape[:2]
+    l, n = y.shape[:2]
+    prod = x[:, None, :, None, :, None] * y[None, :, None, :, None, :]
+    return prod.reshape(k * l, m * n, m * n)
 
 
 def product_frame(a: Frame, b: Frame) -> Frame:
     """Tensor-product POVM; joint outcome (i, j) is flattened as i * b.n_outcomes + j."""
-    elements = [np.kron(x, y) for x in a.elements for y in b.elements]
-    duals = tuple(np.kron(x, y) for x in a.duals for y in b.duals)
-    frozen = []
-    for e in elements:
-        arr = e.copy()
-        arr.setflags(write=False)
-        frozen.append(arr)
-    return Frame(a.dim * b.dim, tuple(frozen), duals)
+    return Frame(_kron_stacks(a.elements, b.elements), _kron_stacks(a.duals, b.duals))
 
 
 def local_frame(state: BipartiteState) -> Frame:
@@ -134,7 +118,7 @@ def born_probabilities(state: BipartiteState, frame: Frame) -> np.ndarray:
     """Outcome distribution tr[M_k rho], clipped of tiny negatives and renormalized."""
     if frame.dim != state.dim:
         raise ParameterError("frame dimension does not match the state")
-    p = np.array([np.real(np.trace(e @ state.data)) for e in frame.elements])
+    p = np.trace(frame.elements @ state.data, axis1=1, axis2=2).real
     if p.min() < -1e-12:
         raise NumericalError(f"Born probability {p.min()} below clipping tolerance")
     p = np.clip(p, 0.0, None)
@@ -164,18 +148,14 @@ def reconstruct(counts: OutcomeCounts, frame: Frame) -> np.ndarray:
     Hermitian with unit trace (every dual has unit trace thanks to
     biorthogonality), but possibly non-positive for finite samples.
     """
-    if len(counts.counts) != frame.n_outcomes:
-        raise ParameterError("counts length does not match the frame")
-    freq = counts.frequencies()
-    x = sum(f * d for f, d in zip(freq, frame.duals))
-    return linalg.hermitize(x)
+    return reconstruct_from_probabilities(counts.frequencies(), frame)
 
 
 def reconstruct_from_probabilities(probs: np.ndarray, frame: Frame) -> np.ndarray:
     """Linear inversion on exact outcome probabilities (infinite-shot limit)."""
     if len(probs) != frame.n_outcomes:
         raise ParameterError("probability vector length does not match the frame")
-    return linalg.hermitize(sum(p * d for p, d in zip(probs, frame.duals)))
+    return linalg.hermitize(np.tensordot(probs, frame.duals, axes=1))
 
 
 def closest_state(
@@ -205,20 +185,14 @@ def _water_fill(caps: np.ndarray, total: float) -> np.ndarray:
     """Maximize entropy of s subject to 0 <= s <= caps, sum s = total <= sum caps."""
     if caps.sum() < total - 1e-12:
         raise ParameterError("caps cannot accommodate the requested total")
-    order = np.argsort(caps)
-    sorted_caps = caps[order]
-    n = len(caps)
-    prefix = 0.0
-    t = None
-    for j in range(n):
-        # candidate: all entries below index j are capped, the rest sit at t
-        t_try = (total - prefix) / (n - j)
-        if t_try <= sorted_caps[j] + 1e-15:
-            t = t_try
-            break
-        prefix += sorted_caps[j]
-    if t is None:
-        t = sorted_caps[-1]
+    # t is the first candidate at which every entry below index j is capped
+    # and the rest sit at t; if none fits, t is the largest cap
+    c = np.sort(caps)
+    n = len(c)
+    prefix = np.concatenate(([0.0], np.cumsum(c)[:-1]))
+    t_try = (total - prefix) / (n - np.arange(n))
+    fits = np.flatnonzero(t_try <= c + 1e-15)
+    t = t_try[fits[0]] if fits.size else c[-1]
     return np.minimum(caps, t)
 
 

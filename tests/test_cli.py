@@ -1,14 +1,19 @@
 """CLI grammar, exit codes, artifact metadata, and sweep behavior."""
 
+import contextlib
+import copy
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import distilkit as dk
 from distilkit import tomography
@@ -253,6 +258,145 @@ class TestScalarCommands:
              "--out", str(tmp_path / "i.json")])
         out = capsys.readouterr().out
         assert out.count("\n") == 1
+
+VALID_STATE = dk.states.state_to_dict(dk.werner_state(2, 0.3))
+VALID_ENSEMBLE = dk.symmetry.ensemble_to_dict(
+    dk.Ensemble((0.5, 0.5), (dk.werner_state(2, 0.2), dk.werner_state(2, 0.9))))
+
+# every value here is wrong where it is put: no payload field takes a bare
+# scalar, a dict, or a short list of integers in place of a list of states;
+# as member file paths, the strings name no file in the working directory
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                 st.sampled_from(["", "x", "1"]), st.lists(st.integers(), max_size=2),
+                 st.dictionaries(st.sampled_from(["a", "dimA"]), st.integers(), max_size=1))
+NOT_A_NUMBER = st.one_of(st.none(), st.booleans(), st.sampled_from(["0.5", "x"]),
+                         st.lists(st.floats(), max_size=2))
+BAD_ENTRY = st.one_of(
+    st.lists(st.floats(allow_nan=False), max_size=1),
+    st.lists(st.floats(allow_nan=False), min_size=3, max_size=3),
+    st.tuples(NOT_A_NUMBER, st.floats()).map(list),
+    st.tuples(st.sampled_from([float("nan"), float("inf"), -float("inf")]), st.floats()).map(list),
+)
+# a change of at least 1e-3 breaks the unit trace (diagonal real part), the
+# unit weight sum, or hermiticity (any other part), far beyond STATE_TOL
+SHIFT = st.tuples(st.floats(1e-3, 10.0), st.sampled_from([1.0, -1.0])).map(lambda t: t[0] * t[1])
+
+
+@st.composite
+def malformed_state(draw, payload=VALID_STATE):
+    d = copy.deepcopy(payload)
+    kind = draw(st.sampled_from(["drop", "retype", "resize", "matrix", "entry", "shift",
+                                 "count", "top"]))
+    key = draw(st.sampled_from(["dimA", "dimB", "pairs"]))
+    if kind == "drop":
+        del d[draw(st.sampled_from(["dimA", "dimB", "pairs", "matrix"]))]
+    elif kind == "retype":
+        d[key] = draw(st.one_of(JUNK.filter(lambda v: type(v) is not int), NOT_A_NUMBER))
+    elif kind == "resize":  # any other integer changes (dimA*dimB)**pairs
+        d[key] = draw(st.integers().filter(lambda v: v != payload[key]))
+    elif kind == "matrix":
+        d["matrix"] = draw(JUNK)
+    elif kind == "entry":
+        d["matrix"][draw(st.integers(0, 15))] = draw(BAD_ENTRY)
+    elif kind == "shift":
+        d["matrix"][draw(st.integers(0, 15))][draw(st.integers(0, 1))] += draw(SHIFT)
+    elif kind == "count":
+        d["matrix"] = d["matrix"][:-1] if draw(st.booleans()) else d["matrix"] + [[0.0, 0.0]]
+    else:
+        return draw(JUNK.filter(lambda v: not isinstance(v, dict)))
+    return d
+
+
+@st.composite
+def malformed_ensemble(draw):
+    e = copy.deepcopy(VALID_ENSEMBLE)
+    kind = draw(st.sampled_from(["drop", "weights", "weight", "shift", "count", "members",
+                                 "member", "top"]))
+    idx = draw(st.integers(0, 1))
+    if kind == "drop":
+        del e[draw(st.sampled_from(["weights", "members"]))]
+    elif kind == "weights":
+        e["weights"] = draw(JUNK.filter(lambda v: not isinstance(v, list)))
+    elif kind == "weight":
+        e["weights"][idx] = draw(NOT_A_NUMBER)
+    elif kind == "shift":
+        e["weights"][idx] += draw(SHIFT)
+    elif kind == "count":
+        part = draw(st.sampled_from(["weights", "members"]))
+        e[part] = e[part][:1] if draw(st.booleans()) else e[part] + [e[part][0]]
+    elif kind == "members":
+        e["members"] = draw(JUNK)
+    elif kind == "member":
+        e["members"][idx] = draw(malformed_state(VALID_ENSEMBLE["members"][idx]))
+    else:
+        return draw(JUNK.filter(lambda v: not isinstance(v, dict)))
+    return e
+
+
+@st.composite
+def malformed_file(draw, valid, payloads):
+    """Bytes of a file that no verb may accept: a mutated payload, or valid JSON
+    truncated, with trailing garbage, or not UTF-8."""
+    text = json.dumps(valid)
+    kind = draw(st.sampled_from(["payload", "payload", "truncate", "trail", "encoding"]))
+    if kind == "payload":
+        return json.dumps(draw(payloads())).encode()
+    if kind == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))].encode()
+    if kind == "trail":
+        return (text + draw(st.sampled_from(["x", "}", ",", "]", "{}", "\x00"]))).encode()
+    return b"\xff" + text.encode()
+
+
+# M is the malformed file, S a valid single-pair state
+STATE_VERBS = [
+    ["ppt", "--state", "M"], ["f2", "--state", "M"], ["fd", "--state", "M", "--D", "2"],
+    ["undistill1", "--state", "M"], ["ncopy", "--state", "M", "--n", "1"],
+    ["symmetrize", "--state", "M"], ["defclose", "--state", "M"],
+    ["tomo-sim", "--state", "M", "--shots", "10"], ["tomo-pipeline", "--state", "M"],
+    ["activate-check", "--rho", "M", "--sigma", "S"], ["activate-check", "--rho", "S", "--sigma", "M"],
+    ["activate-search", "--sigma", "M"],
+    ["jam-check", "--rho", "M", "--sigma", "S"], ["jam-check", "--rho", "S", "--sigma", "M"],
+]
+ENSEMBLE_VERBS = [["mixpow", "--ensemble", "M", "--k", "2"], ["tomo-pipeline", "--ensemble", "M"]]
+
+
+class TestMalformedFiles:
+    """Every verb that reads a file meets malformed input with exit code 2 or 3,
+    no stdout, no artifact and one ``error:`` line: never the verdict code 1,
+    a traceback, or a warning."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("malformed")
+        (path / "s.json").write_text(json.dumps(VALID_STATE))
+        return path
+
+    def check(self, workdir, verb, content):
+        bad, out = workdir / "m.json", workdir / "out"
+        bad.write_bytes(content)
+        out.unlink(missing_ok=True)
+        argv = [{"M": str(bad), "S": str(workdir / "s.json")}.get(a, a) for a in verb]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(argv + ["--out", str(out)])
+        err = stderr.getvalue()
+        assert code in (2, 3), (verb, content, err)
+        assert stdout.getvalue() == "" and not out.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert not caught, [str(w.message) for w in caught]
+
+    @settings(max_examples=400, deadline=None)
+    @given(verb=st.sampled_from(STATE_VERBS), content=malformed_file(VALID_STATE, malformed_state))
+    def test_malformed_state_files(self, workdir, verb, content):
+        self.check(workdir, verb, content)
+
+    @settings(max_examples=150, deadline=None)
+    @given(verb=st.sampled_from(ENSEMBLE_VERBS), content=malformed_file(VALID_ENSEMBLE, malformed_ensemble))
+    def test_malformed_ensemble_files(self, workdir, verb, content):
+        self.check(workdir, verb, content)
 
 
 class TestSymmetryCommands:

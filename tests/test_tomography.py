@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import distilkit as dk
 from distilkit import linalg, tomography
@@ -14,13 +15,48 @@ from distilkit.errors import FrameError, NumericalError, ParameterError
 from conftest import random_state
 
 
+def hermitian_basis(m):
+    """Orthonormal basis of Hermitian m x m matrices (Hilbert-Schmidt inner product)."""
+    basis = [np.eye(m, dtype=complex) / np.sqrt(m)]
+    for l in range(1, m):
+        d = np.zeros(m)
+        d[:l] = 1.0
+        d[l] = -l
+        basis.append(np.diag(d).astype(complex) / np.sqrt(l * (l + 1)))
+    for j in range(m):
+        for k in range(j + 1, m):
+            e = np.zeros((m, m), dtype=complex)
+            e[j, k] = 1.0
+            basis.append((e + e.T) / np.sqrt(2))
+            basis.append((1j * e + (1j * e).conj().T) / np.sqrt(2))
+    return basis
+
+
 def reconstruct_by_lstsq(probs, frame):
     """Independent inversion: solve the linear system tr[A_i X] = p_i directly."""
-    m = frame.dim
-    basis = linalg.hermitian_basis(m)
+    basis = hermitian_basis(frame.dim)
     mat = np.array([[np.real(np.trace(a @ h)) for h in basis] for a in frame.elements])
     coeff, *_ = np.linalg.lstsq(mat, probs, rcond=None)
     return sum(c * h for c, h in zip(coeff, basis))
+
+
+def water_fill_loop(caps, total):
+    """The sequential water-filling scan: the first t at which every entry below
+    index j is capped and the rest sit at t, else the largest cap."""
+    order = np.argsort(caps)
+    sorted_caps = caps[order]
+    n = len(caps)
+    prefix = 0.0
+    t = None
+    for j in range(n):
+        t_try = (total - prefix) / (n - j)
+        if t_try <= sorted_caps[j] + 1e-15:
+            t = t_try
+            break
+        prefix += sorted_caps[j]
+    if t is None:
+        t = sorted_caps[-1]
+    return np.minimum(caps, t)
 
 
 def simplex_project(w):
@@ -70,9 +106,13 @@ class TestMinimalIcPovm:
         rec = sum(np.real(np.trace(e)) * d for e, d in zip(fr.elements, fr.duals))
         assert np.max(np.abs(rec - np.eye(2))) < 1e-10
 
-    @pytest.mark.parametrize("m", [2, 3])
-    def test_roundtrip_against_lstsq(self, m, rng):
-        fr = dk.minimal_ic_povm(m)
+    @pytest.mark.parametrize("ma,mb", [pytest.param(2, None, id="2"), pytest.param(3, None, id="3"),
+                                       (2, 2), (2, 3)])
+    def test_roundtrip_against_lstsq(self, ma, mb, rng):
+        fr = dk.minimal_ic_povm(ma)
+        if mb is not None:
+            fr = dk.product_frame(fr, dk.minimal_ic_povm(mb))
+        m = fr.dim
         gram = np.array([[np.real(np.trace(a @ b)) for b in fr.elements] for a in fr.elements])
         assert np.linalg.matrix_rank(gram, tol=1e-10) == m * m
         assert np.linalg.cond(gram) < 1e6
@@ -95,6 +135,15 @@ class TestMinimalIcPovm:
         with pytest.raises(ParameterError):
             dk.minimal_ic_povm(1)
 
+    def test_stacks_are_read_only_copies(self):
+        fr = dk.minimal_ic_povm(2)
+        elements = np.array(fr.elements)
+        frame = tomography.Frame(elements, fr.duals)
+        elements[0] = 0.0
+        assert np.array_equal(frame.elements, fr.elements)
+        for stack in (frame.elements, frame.duals):
+            assert stack.shape == (4, 2, 2) and not stack.flags.writeable
+
 
 class TestDualFrame:
     def test_duplicated_elements_rejected(self):
@@ -115,6 +164,20 @@ class TestProductFrame:
         pf = dk.product_frame(fr, fr)
         assert pf.n_outcomes == 16
         assert np.max(np.abs(sum(pf.elements) - np.eye(4))) < 1e-10
+
+    @pytest.mark.parametrize("ma,mb", [(2, 2), (2, 3)])
+    def test_stacks_match_per_element_kron(self, ma, mb):
+        a, b = dk.minimal_ic_povm(ma), dk.minimal_ic_povm(mb)
+        pf = dk.product_frame(a, b)
+        assert np.array_equal(pf.elements, [np.kron(x, y) for x in a.elements for y in b.elements])
+        assert np.array_equal(pf.duals, [np.kron(x, y) for x in a.duals for y in b.duals])
+
+    def test_born_matches_per_element_trace(self, rng):
+        pf = tomography.local_frame(random_state(rng, 2, 3))
+        for _ in range(10):
+            s = random_state(rng, 2, 3)
+            p = np.clip([np.real(np.trace(e @ s.data)) for e in pf.elements], 0.0, None)
+            assert np.array_equal(dk.born_probabilities(s, pf), p / p.sum())
 
     def test_product_state_reconstruction(self, rng):
         fr = dk.minimal_ic_povm(2)
@@ -241,6 +304,14 @@ class TestClosestState:
     def test_trace_validation(self):
         with pytest.raises(ParameterError):
             dk.closest_state(np.diag([1.2, 0.0]).astype(complex), 1, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=16),
+           st.floats(0.0, 1.0))
+    def test_water_fill_matches_sequential_scan(self, caps, fraction):
+        caps = np.array(caps)
+        total = fraction * caps.sum()
+        assert np.array_equal(tomography._water_fill(caps, total), water_fill_loop(caps, total))
 
 
 class TestChernoffTail:
