@@ -3,8 +3,10 @@
 One verb per library operation; every invocation writes at most one output
 artifact, prints a single summary line on stdout, and embeds
 ``{"seed", "version", "command", "options"}`` in the artifact so runs can be
-reproduced.  Exit codes: 0 success, 1 domain verdict (violation/activator
-found), 2 usage or input error, 3 numerical/capacity error.
+reproduced.  ``sweep`` and ``tomo-sim`` write a CSV table under a ``# meta:``
+line; every other verb writes its full report as strict JSON.  Exit codes:
+0 success, 1 domain verdict (violation/activator found), 2 usage or input
+error, 3 numerical/capacity error.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -38,28 +41,10 @@ def _meta(args: argparse.Namespace) -> dict:
     }
 
 
-def _write_json(args, payload: dict, structured: bool = False) -> None:
-    """Write the single output artifact in the requested format.
-
-    CSV output is available for flat scalar reports only; structured payloads
-    (states, frames, ensembles) must stay JSON.
-    """
-    if not getattr(args, "out", None):
-        return
-    fmt = getattr(args, "format", None) or "json"
-    if fmt == "json":
-        payload = dict(payload)
-        payload["meta"] = _meta(args)
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh)
-        return
-    if structured:
-        raise ParameterError("csv format is not available for structured artifacts")
-    scalars = {k: v for k, v in payload.items()
-               if isinstance(v, (int, float, bool, str)) or v is None}
-    if not scalars:
-        raise ParameterError("csv format is not available for structured reports")
-    _write_csv(args, list(scalars), [list(scalars.values())])
+def _write_json(args, payload: dict) -> None:
+    """Write the verb's report, with its ``meta`` record, as strict JSON to ``--out``."""
+    if args.out:
+        states.write_json(args.out, {**payload, "meta": _meta(args)})
 
 
 def _fmt(x: float) -> str:
@@ -67,10 +52,12 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(args, header: list[str], rows: list[list]) -> None:
-    if not getattr(args, "out", None):
+    """Write a table to ``--out`` under a ``# meta:`` line of strict JSON."""
+    if not args.out:
         return
+    meta = "# meta: " + json.dumps(_meta(args), allow_nan=False) + "\n"
     with open(args.out, "w", newline="") as fh:
-        fh.write("# meta: " + json.dumps(_meta(args)) + "\n")
+        fh.write(meta)
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -93,8 +80,7 @@ def _family_state(args) -> BipartiteState:
 
 def cmd_state(args) -> int:
     state = _family_state(args)
-    payload = states.state_to_dict(state)
-    _write_json(args, payload, structured=True)
+    _write_json(args, states.state_to_dict(state))
     print(f"state family={args.family} d={args.d} dim={state.dim} -> {args.out or '-'}")
     return EXIT_OK
 
@@ -156,7 +142,7 @@ def cmd_ncopy(args) -> int:
 def cmd_symmetrize(args) -> int:
     state = states.load_state(args.state)
     out = symmetry.double_symmetrize(state) if args.double else symmetry.symmetrize(state)
-    _write_json(args, states.state_to_dict(out), structured=True)
+    _write_json(args, states.state_to_dict(out))
     print(f"symmetrized pairs={out.pairs} double={bool(args.double)}")
     return EXIT_OK
 
@@ -164,7 +150,7 @@ def cmd_symmetrize(args) -> int:
 def cmd_mixpow(args) -> int:
     ens = symmetry.load_ensemble(args.ensemble)
     out = symmetry.mixture_of_powers(ens, args.k)
-    _write_json(args, states.state_to_dict(out), structured=True)
+    _write_json(args, states.state_to_dict(out))
     print(f"mixture of powers k={args.k} dim={out.dim}")
     return EXIT_OK
 
@@ -180,7 +166,7 @@ def cmd_defclose(args) -> int:
     state = states.load_state(args.state)
     val, ens = symmetry.best_product_mixture_distance(
         state, restarts=args.restarts, iters=args.iters, seed=args.seed)
-    _write_json(args, {"distance": val, "ensemble": symmetry.ensemble_to_dict(ens)}, structured=True)
+    _write_json(args, {"distance": val, "ensemble": symmetry.ensemble_to_dict(ens)})
     print(f"distance={_fmt(val)} support={len(ens.members)}")
     return EXIT_OK
 
@@ -194,7 +180,7 @@ def cmd_tomo_frame(args) -> int:
         "elements": [states.encode_matrix(e) for e in frame.elements],
         "duals": [states.encode_matrix(d) for d in frame.duals],
     }
-    _write_json(args, payload, structured=True)
+    _write_json(args, payload)
     print(f"frame dim={frame.dim} outcomes={frame.n_outcomes}")
     return EXIT_OK
 
@@ -203,11 +189,7 @@ def cmd_tomo_sim(args) -> int:
     state = states.load_state(args.state)
     frame = tomography.local_frame(state)
     counts = tomography.simulate_measurements(state, frame, args.shots, args.seed)
-    if (args.format or "csv") == "csv":
-        _write_csv(args, ["outcome_index", "count"],
-                   [[i, c] for i, c in enumerate(counts.counts)])
-    else:
-        _write_json(args, {"counts": list(counts.counts), "shots": counts.shots})
+    _write_csv(args, ["outcome_index", "count"], [[i, c] for i, c in enumerate(counts.counts)])
     print(f"shots={counts.shots} outcomes={len(counts.counts)}")
     return EXIT_OK
 
@@ -221,7 +203,7 @@ def cmd_tomo_pipeline(args) -> int:
         source = states.load_state(args.state)
     rep = tomography.estimation_pipeline(source, n=args.n, m_shots=args.shots,
                                          budget=args.budget, seed=args.seed)
-    _write_json(args, rep.to_dict(), structured=True)
+    _write_json(args, rep.to_dict())
     print(f"verdict={rep.verdict} f_m={_fmt(rep.f_m)} chernoff={_fmt(rep.chernoff)}")
     return EXIT_VERDICT if rep.verdict == "distillable" else EXIT_OK
 
@@ -239,7 +221,7 @@ def cmd_activate_check(args) -> int:
     sigma = states.load_state(args.sigma)
     witness, fidelity, weight = activation.evaluate_activation(rho, sigma)
     _write_json(args, {"witness": witness, "fidelity": fidelity,
-                       "success_weight": weight, "rho": states.state_to_dict(rho)}, structured=True)
+                       "success_weight": weight, "rho": states.state_to_dict(rho)})
     found = witness < -distillability.VIOLATION_TOL
     print(f"witness={_fmt(witness)} fidelity={_fmt(fidelity)} activated={found}")
     return EXIT_VERDICT if found else EXIT_OK
@@ -248,7 +230,7 @@ def cmd_activate_check(args) -> int:
 def cmd_activate_search(args) -> int:
     sigma = states.load_state(args.sigma)
     rep = activation.search_activator(sigma)
-    _write_json(args, rep.to_dict(), structured=True)
+    _write_json(args, rep.to_dict())
     found = not rep.budget_exhausted
     print(f"witness={_fmt(rep.witness)} found={found} gap={_fmt(rep.gap)}")
     return EXIT_VERDICT if found else EXIT_OK
@@ -270,21 +252,21 @@ def _sweep_values(args) -> list[float]:
         return [float(v) for v in args.values.split(",") if v.strip()]
     if args.start is None or args.stop is None or args.step is None:
         raise ParameterError("sweep needs --values or --start/--stop/--step")
+    if not all(map(math.isfinite, (args.start, args.stop, args.step))):
+        raise ParameterError("sweep bounds and step must be finite")
     if args.step <= 0 or args.stop < args.start:
         raise ParameterError("empty sweep range")
     vals = []
     v = args.start
     while v <= args.stop + 1e-12:
         vals.append(round(v, 12))
+        if v + args.step == v:
+            raise ParameterError(f"step {args.step!r} does not advance the sweep value {v!r}")
         v += args.step
-    if not vals:
-        raise ParameterError("empty sweep range")
     return vals
 
 
 def cmd_sweep(args) -> int:
-    if args.format == "json":
-        raise ParameterError("sweep emits a CSV table")
     values = _sweep_values(args)
     base_seed = args.seed if args.seed is not None else 0
     rows = []
@@ -351,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=fn)
         p.add_argument("--out", help="output artifact path")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--format", choices=["json", "csv"], default=None,
-                       help="artifact format (csv only for flat scalar reports)")
         return p
 
     p = add("state", cmd_state, help="construct a named-family state")

@@ -41,7 +41,19 @@ class FilterPair:
         object.__setattr__(self, "B", np.asarray(self.B, dtype=complex))
 
     def normalized(self) -> "FilterPair":
-        return FilterPair(self.A / np.linalg.norm(self.A, 2), self.B / np.linalg.norm(self.B, 2))
+        """Spectral norm 1 and one phase gauge: the first row-major entry whose
+        modulus is at least half the largest is real and positive.  Rounding cannot
+        move that entry, so filters equal up to phase give equal certificates."""
+        def gauge(f):
+            mod = np.abs(f.reshape(-1))
+            lead = f.reshape(-1)[np.argmax(mod >= mod.max() / 2)]
+            return f * (abs(lead) / lead) / np.linalg.norm(f, 2)
+
+        return FilterPair(gauge(self.A), gauge(self.B))
+
+    def to_dict(self) -> dict:
+        return {"type": "filter_pair", "A": states.encode_matrix(self.A),
+                "B": states.encode_matrix(self.B)}
 
 
 @dataclass
@@ -63,20 +75,11 @@ class WitnessReport:
     def to_dict(self) -> dict:
         cert = self.certificate
         if isinstance(cert, FilterPair):
-            payload = {
-                "type": "filter_pair",
-                "A": states.encode_matrix(cert.A),
-                "B": states.encode_matrix(cert.B),
-            }
-        elif isinstance(cert, np.ndarray):
-            payload = {
-                "type": "schmidt_rank2_vector",
-                "vector": states.encode_complex(cert),
-            }
+            payload = cert.to_dict()
         elif cert is None:
             payload = None
         else:
-            payload = {"type": type(cert).__name__}
+            payload = {"type": "schmidt_rank2_vector", "vector": states.encode_complex(cert)}
         return {
             "value": float(self.value),
             "certificate": payload,
@@ -184,6 +187,8 @@ def _fd_seesaw(
         raise ParameterError("need restarts >= 1")
     if iters < 1:
         raise ParameterError("need iters >= 1")
+    if not 0 <= tol < np.inf:
+        raise ParameterError("need a finite tol >= 0")
     dA, dB = _cut_dims(state)
     rho4 = to_global_cut(state).reshape(dA, dB, dA, dB)
     child = np.random.default_rng(seed).integers(0, 2 ** 63 - 1, size=restarts)

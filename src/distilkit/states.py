@@ -384,9 +384,19 @@ def read_json(path):
         raise ParameterError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def save_state(state: BipartiteState, path) -> None:
+def write_json(path, payload) -> None:
+    """Write ``payload`` as strict JSON.  The whole text is serialized before the
+    file is opened, so a NaN or an infinity is a ParameterError that leaves no file."""
+    try:
+        text = json.dumps(payload, allow_nan=False)
+    except ValueError as exc:
+        raise ParameterError(f"cannot write {path}: {exc}") from exc
     with open(path, "w") as fh:
-        json.dump(state_to_dict(state), fh)
+        fh.write(text)
+
+
+def save_state(state: BipartiteState, path) -> None:
+    write_json(path, state_to_dict(state))
 
 
 def load_state(path) -> BipartiteState:

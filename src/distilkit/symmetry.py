@@ -4,7 +4,6 @@ and finite-support mixtures of product powers."""
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -140,7 +139,13 @@ def definetti_bound(d: int, k: int, n: int) -> float:
         raise ParameterError("need d >= 2 and k, n >= 1")
     if k > n:
         raise ParameterError(f"k = {k} exceeds n = {n}")
-    return 4.0 * d ** 4 * k / n
+    try:
+        bound = 4.0 * d ** 4 * k / n
+    except OverflowError:  # an integer that no float can hold
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ParameterError("4 d^4 k / n overflows a float")
+    return bound
 
 
 def mixture_of_powers(ensemble: Ensemble, k: int) -> BipartiteState:
@@ -352,8 +357,7 @@ def ensemble_from_dict(payload: dict) -> Ensemble:
 
 
 def save_ensemble(ensemble: Ensemble, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(ensemble_to_dict(ensemble), fh)
+    states.write_json(path, ensemble_to_dict(ensemble))
 
 
 def load_ensemble(path) -> Ensemble:

@@ -206,9 +206,14 @@ def chernoff_tail(delta: float, n: int, cardinality: int) -> ChernoffBound:
     """Tail bound 2^(-n (delta^2/(2 ln 2) - |X| log2(n+1)/n)) on the probability
     that the empirical distribution of n i.i.d. draws deviates from the truth
     by more than delta in unhalved l1 norm; reported value clipped to [0, 1]."""
-    if delta <= 0 or n < 1 or cardinality < 1:
-        raise ParameterError("need delta > 0, n >= 1, cardinality >= 1")
-    exponent = -n * (delta ** 2 / (2.0 * math.log(2.0)) - cardinality * math.log2(n + 1) / n)
+    if not (0 < delta < math.inf) or n < 1 or cardinality < 1:
+        raise ParameterError("need finite delta > 0, n >= 1, cardinality >= 1")
+    try:
+        exponent = -n * (delta ** 2 / (2.0 * math.log(2.0)) - cardinality * math.log2(n + 1) / n)
+    except OverflowError:  # an integer that no float can hold, or delta ** 2
+        exponent = math.nan
+    if not math.isfinite(exponent):
+        raise ParameterError("the tail exponent overflows a float")
     if exponent > 1024:
         raw = math.inf
     else:
@@ -234,12 +239,7 @@ class PipelineReport:
     seed: Optional[int]
 
     def to_dict(self) -> dict:
-        cert = None
-        if self.certificate is not None:
-            cert = {
-                "A": states.encode_matrix(self.certificate.A),
-                "B": states.encode_matrix(self.certificate.B),
-            }
+        cert = None if self.certificate is None else self.certificate.to_dict()
         return {
             "sigma_m": states.state_to_dict(self.sigma_m),
             "verdict": self.verdict,

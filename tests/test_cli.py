@@ -1,5 +1,6 @@
 """CLI grammar, exit codes, artifact metadata, and sweep behavior."""
 
+import argparse
 import contextlib
 import copy
 import csv
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import distilkit as dk
 from distilkit import tomography
-from distilkit.cli import run
+from distilkit.cli import build_parser, run
 
 
 def _reject_constant(name):
@@ -147,7 +148,9 @@ class TestScalarCommands:
         ["fd", "--state", "S", "--D", "3", "--iters", "0"],
         ["sweep", "--task", "f2", "--param", "p", "--values", "0.7", "--iters", "0"],
         ["defclose", "--state", "P", "--restarts", "0"],
-        ["defclose", "--state", "P", "--iters", "-1"]])
+        ["defclose", "--state", "P", "--iters", "-1"],
+        ["f2", "--state", "S", "--tol", "nan"], ["f2", "--state", "S", "--tol=-1e-9"],
+        ["f2", "--state", "S", "--tol", "inf"]])
     def test_empty_search_is_usage_error(self, capsys, tmp_path, werner_file, verb):
         power = tmp_path / "p2.json"
         dk.save_state(dk.tensor_power(dk.werner_state(2, 0.8), 2), power)
@@ -202,6 +205,36 @@ class TestScalarCommands:
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert len(done.stderr) < 200
+
+    @pytest.mark.parametrize("verb,message", [
+        (["chernoff", "--delta", "nan", "--n", "10", "--cardinality", "4"], "finite delta"),
+        (["chernoff", "--delta", "inf", "--n", "10", "--cardinality", "4"], "finite delta"),
+        (["chernoff", "--delta", "0.1", "--n", str(10 ** 400), "--cardinality", "4"], "overflows"),
+        (["definetti-bound", "--d", str(10 ** 400), "--k", "1", "--n", "2"], "overflows"),
+        (["definetti-bound", "--d", "2", "--k", "1", "--n", str(10 ** 400)], "overflows"),
+        (["sweep", "--task", "ppt", "--param", "p", "--values", "0.5", "--p", "nan"], "JSON")])
+    def test_unrepresentable_number_is_usage_error(self, capsys, tmp_path, verb, message):
+        out = tmp_path / "o.json"
+        assert run(verb + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+
+    def test_non_finite_report_leaves_no_artifact(self, capsys, monkeypatch, werner_file):
+        monkeypatch.setattr(dk.distillability, "is_ppt", lambda state: (False, float("nan")))
+        out = Path(werner_file).with_name("ppt.json")
+        capsys.readouterr()  # drop the fixture's summary line
+        assert run(["ppt", "--state", werner_file, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_no_verb_takes_a_format_option(self, werner_file):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert len(sub.choices) == 18
+        assert all("--format" not in p._option_string_actions for p in sub.choices.values())
+        assert run(["f2", "--state", werner_file, "--format", "csv"]) == 2
 
     def test_unknown_option_rejected(self):
         assert run(["definetti-bound", "--d", "2", "--k", "1", "--n", "100",
@@ -548,6 +581,25 @@ class TestSweep:
     def test_empty_range_usage_error(self):
         assert run(["sweep", "--task", "f2", "--param", "p", "--start", "1",
                     "--stop", "0", "--step", "0.1"]) == 2
+
+    @pytest.mark.parametrize("start,stop,step,message", [
+        ("0.5", "0.6", "1e-20", "does not advance"), ("1e300", "2e300", "1", "does not advance"),
+        ("0.5", "inf", "0.1", "finite"), ("-inf", "0.6", "0.1", "finite"),
+        ("0.5", "0.6", "nan", "finite"), ("nan", "0.6", "0.1", "finite")])
+    def test_range_that_cannot_end_is_usage_error(self, capsys, tmp_path, start, stop, step, message):
+        # a step that cannot advance, or an unbounded range, has no last row
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--task", "ppt", "--param", "p", f"--start={start}", f"--stop={stop}",
+                    f"--step={step}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and not out.exists()
+
+    def test_range_rows(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--task", "ppt", "--param", "p", "--start", "0", "--stop", "1",
+                    "--step", "0.05", "--family", "werner", "--d", "2", "--out", str(out)]) == 0
+        _, rows = read_sweep_csv(out)
+        assert [r["p"] for r in rows] == [f"{0.05 * i:.12g}" for i in range(21)]
 
     def test_shots_sweep_trace_distance_nonincreasing(self, tmp_path, werner_file):
         out = tmp_path / "shots.csv"

@@ -114,6 +114,15 @@ class TestF2:
         with pytest.raises(ParameterError, match="iters"):
             dk.fD(w, 3, iters=iters, seed=0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        # a NaN tol never stops a restart; it would run all iters
+        w = dk.werner_state(2, 0.7)
+        with pytest.raises(ParameterError, match="tol"):
+            dk.f2(w, tol=tol, seed=0)
+        with pytest.raises(ParameterError, match="tol"):
+            dk.fD(w, 3, tol=tol, seed=0)
+
     def test_annihilating_first_start_restarts(self):
         # |22><22| lies outside the embedding start's span{0, 1} (x) span{0, 1}; the
         # restart draws fresh filters and reaches the product-state value 1/2
@@ -606,6 +615,26 @@ class TestCertificateConversion:
         fp = schmidt_rank2_filters(rep.certificate, 2, 2)
         overlap, weight = filter_ratio(w, fp)
         assert abs((0.5 * weight - overlap) - rep.value) < 1e-9
+
+    def test_normalized_fixes_norm_and_phase(self, rng):
+        for shape_a, shape_b in [((2, 2), (2, 2)), ((2, 3), (2, 4)), ((3, 3), (3, 2))]:
+            A = rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)
+            B = rng.standard_normal(shape_b) + 1j * rng.standard_normal(shape_b)
+            ref = FilterPair(A, B).normalized()
+            for alpha, beta in rng.uniform(-np.pi, np.pi, (5, 2)):
+                out = FilterPair(np.exp(1j * alpha) * 3.0 * A, -np.exp(1j * beta) * B).normalized()
+                assert np.abs(out.A - ref.A).max() < 1e-15
+                assert np.abs(out.B - ref.B).max() < 1e-15
+            for filt in (ref.A, ref.B):
+                assert abs(np.linalg.norm(filt, 2) - 1.0) < 1e-12
+                flat = filt.reshape(-1)
+                lead = flat[np.flatnonzero(np.abs(flat) >= np.abs(flat).max() / 2)[0]]
+                assert abs(lead.imag) < 1e-15 and lead.real > 0
+
+    def test_normalized_keeps_a_gauged_pair_bitwise(self):
+        fp = FilterPair(np.eye(2, 3), np.diag([0.5, 1.0]))
+        out = fp.normalized()
+        assert np.array_equal(out.A, fp.A) and np.array_equal(out.B, fp.B)
 
     def test_filter_pair_encoding_matches_per_entry_format(self, rng):
         fp = FilterPair(signed_zero_matrix(rng, 2, 3), signed_zero_matrix(rng, 2, 4))

@@ -278,6 +278,17 @@ class TestJson:
         dk.save_state(s, path)
         assert path.read_text() == json.dumps(dk.states.state_to_dict(s))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_write_json_rejects_non_finite_numbers_before_opening(self, tmp_path, bad):
+        path = tmp_path / "r.json"
+        with pytest.raises(ParameterError, match="r.json"):
+            dk.states.write_json(path, {"value": 1.0, "nested": [[0.5, bad]]})
+        assert not path.exists()
+        path.write_text("kept")
+        with pytest.raises(ParameterError):
+            dk.states.write_json(path, {"value": bad})
+        assert path.read_text() == "kept"
+
     def test_decode_inverts_encode_bitwise(self, rng):
         m = signed_zero_matrix(rng, 5)
         back = dk.states.decode_complex(dk.states.encode_complex(m), 25)

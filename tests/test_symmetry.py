@@ -211,6 +211,13 @@ class TestDeFinettiBound:
         with pytest.raises(ParameterError):
             dk.definetti_bound(2, 5, 4)
 
+    @pytest.mark.parametrize("d,k,n", [(10 ** 400, 1, 2), (2, 1, 10 ** 400),
+                                       (2, 10 ** 400, 10 ** 401), (10 ** 77, 10, 10)])
+    def test_bound_beyond_a_float_rejected(self, d, k, n):
+        # an integer no float can hold, or a bound that rounds to inf
+        with pytest.raises(ParameterError, match="overflows a float"):
+            dk.definetti_bound(d, k, n)
+
 
 def two_member_orthogonal_ensemble(w0=0.5):
     a = dk.construct_state(dk.StateFamilySpec(dk.Family.PRODUCT_PURE, 2, {"i": 0, "j": 0}))

@@ -335,6 +335,19 @@ class TestChernoffTail:
         with pytest.raises(ParameterError):
             dk.chernoff_tail(0.0, 10, 4)
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(ParameterError, match="finite delta"):
+            dk.chernoff_tail(delta, 10, 4)
+
+    @pytest.mark.parametrize("delta,n,cardinality", [(0.1, 10 ** 400, 4), (0.1, 10, 10 ** 400),
+                                                     (1e200, 10, 4), (0.1, 10 ** 300, 10 ** 306)])
+    def test_exponent_beyond_a_float_rejected(self, delta, n, cardinality):
+        # an integer no float can hold, delta ** 2 past the float range, or an
+        # infinite exponent: each is a ParameterError, not an OverflowError or inf
+        with pytest.raises(ParameterError, match="overflows a float"):
+            dk.chernoff_tail(delta, n, cardinality)
+
 
 class TestPipeline:
     def test_ppt_source_takes_discard_branch(self):
@@ -371,6 +384,9 @@ class TestPipeline:
         payload = rep.to_dict()
         assert payload["surrogate"] is True
         assert set(payload) >= {"sigma_m", "verdict", "f_m", "chernoff", "surrogate"}
+        # one filter-pair record, shared with the see-saw reports
+        assert payload["certificate"] == rep.certificate.to_dict()
+        assert payload["certificate"]["type"] == "filter_pair"
         assert dataclasses.replace(rep, surrogate=False).to_dict()["surrogate"] is False
 
 
