@@ -78,7 +78,6 @@ from .tomography import (
     simulate_measurements,
 )
 from .activation import (
-    ActivationInstance,
     activation_filters,
     activation_witness,
     apply_activation,

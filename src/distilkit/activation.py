@@ -22,31 +22,32 @@ from .errors import NumericalError, ParameterError
 from .states import BipartiteState, phi_projector
 
 
-@dataclass(frozen=True)
-class ActivationInstance:
-    rho: BipartiteState
-    sigma: BipartiteState
-    d: int
+def _activator_dim(rho: BipartiteState, sigma: BipartiteState) -> int:
+    """Local dimension d of a d x d activator whose target is one 2d x 2d pair."""
+    d = rho.dimA
+    if rho.pairs != 1 or sigma.pairs != 1:
+        raise ParameterError("activator and target must be single-pair states")
+    if rho.dimB != d:
+        raise ParameterError("activator must be d x d bipartite")
+    if sigma.dimA != 2 * d or sigma.dimB != 2 * d:
+        raise ParameterError("target local dimension must be 2d = d x 2 per side")
+    return d
 
-    def __post_init__(self):
-        if self.rho.pairs != 1 or self.sigma.pairs != 1:
-            raise ParameterError("activator and target must be single-pair states")
-        if self.rho.dimA != self.d or self.rho.dimB != self.d:
-            raise ParameterError("activator must be d x d bipartite")
-        if self.sigma.dimA != 2 * self.d or self.sigma.dimB != 2 * self.d:
-            raise ParameterError("target local dimension must be 2d = d x 2 per side")
+
+def _merge_pairs(x: BipartiteState, y: BipartiteState) -> BipartiteState:
+    """x (x) y as one pair (Ax Ay | Bx By)."""
+    raw = np.kron(x.data, y.data)  # order Ax Bx Ay By
+    mat = linalg.permute_factors(raw, (x.dimA, x.dimB, y.dimA, y.dimB), (0, 2, 1, 3))
+    return BipartiteState(mat, x.dimA * y.dimA, x.dimB * y.dimB)
 
 
 def pair_product(tau: BipartiteState, kappa: BipartiteState) -> BipartiteState:
     """Assemble a target from a d x d factor on A2B2 and a 2 x 2 factor on A3B3."""
     if kappa.dimA != 2 or kappa.dimB != 2 or kappa.pairs != 1 or tau.pairs != 1:
         raise ParameterError("need a single-pair d x d factor and a single-pair qubit factor")
-    d = tau.dimA
-    if tau.dimB != d:
+    if tau.dimB != tau.dimA:
         raise ParameterError("A2B2 factor must be square (d x d)")
-    raw = np.kron(tau.data, kappa.data)  # order A2 B2 A3 B3
-    mat = linalg.permute_factors(raw, (d, d, 2, 2), (0, 2, 1, 3))  # -> A2 A3 B2 B3
-    return BipartiteState(mat, 2 * d, 2 * d)
+    return _merge_pairs(tau, kappa)
 
 
 def activation_filters(d: int) -> FilterPair:
@@ -61,18 +62,12 @@ def activation_filters(d: int) -> FilterPair:
     return FilterPair(a, a.copy())
 
 
-def _joint_state(instance: ActivationInstance) -> BipartiteState:
-    """rho (x) sigma as one pair (A1 A2A3 | B1 B2B3) of local dimension 2d^2."""
-    d = instance.d
-    raw = np.kron(instance.rho.data, instance.sigma.data)  # A1 B1 (A2A3) (B2B3)
-    joint = linalg.permute_factors(raw, (d, d, 2 * d, 2 * d), (0, 2, 1, 3))
-    return BipartiteState(joint, 2 * d * d, 2 * d * d)
-
-
-def apply_activation(instance: ActivationInstance) -> tuple[np.ndarray, float]:
-    """Post-selected two-qubit operator (unnormalized) and its success weight;
-    NumericalError when the projection annihilates the state."""
-    return apply_filter_pair(_joint_state(instance), activation_filters(instance.d))
+def apply_activation(rho: BipartiteState, sigma: BipartiteState) -> tuple[np.ndarray, float]:
+    """Post-selected two-qubit operator (unnormalized) and its success weight on
+    rho (x) sigma, read as one pair (A1 A2A3 | B1 B2B3); NumericalError when the
+    projection annihilates the state."""
+    d = _activator_dim(rho, sigma)
+    return apply_filter_pair(_merge_pairs(rho, sigma), activation_filters(d))
 
 
 def _pairing_matrix(sigma: BipartiteState, z: np.ndarray) -> np.ndarray:
@@ -86,25 +81,24 @@ def _pairing_matrix(sigma: BipartiteState, z: np.ndarray) -> np.ndarray:
 
 def target_pairing(rho: BipartiteState, sigma: BipartiteState, z: np.ndarray) -> float:
     """tr[sigma (rho^T (x) Z)], the induced-map side of the proportionality identity."""
-    if sigma.dimA != 2 * rho.dimA or sigma.dimB != 2 * rho.dimB:
-        raise ParameterError("target local dimensions must equal 2d")
+    _activator_dim(rho, sigma)
     return float(np.real(np.trace(rho.data.T @ _pairing_matrix(sigma, z))))
 
 
 def jam_check(
-    instance: ActivationInstance, trials: int = 20, seed: Optional[int] = None
+    rho: BipartiteState, sigma: BipartiteState, trials: int = 20, seed: Optional[int] = None
 ) -> tuple[float, float]:
     """Verify tr[(A(x)B)(rho(x)sigma)(A(x)B)^dag Z] = c * tr[sigma (rho^T (x) Z)]
     over random positive Z; returns (c, max relative deviation across Z)."""
     if trials < 1:
         raise ParameterError("need trials >= 1")
     rng = np.random.default_rng(seed)
-    out, _ = apply_activation(instance)
+    out, _ = apply_activation(rho, sigma)
     ratios = []
     for _ in range(trials):
         z = linalg.random_density(rng, 4) * (1.0 + 3.0 * rng.random())
         num = float(np.real(np.trace(out @ z)))
-        den = target_pairing(instance.rho, instance.sigma, z)
+        den = target_pairing(rho, sigma, z)
         if abs(den) < 1e-14:
             continue
         ratios.append(num / den)
@@ -131,8 +125,7 @@ def evaluate_activation(rho: BipartiteState, sigma: BipartiteState) -> tuple[flo
     sigma; the fidelity exceeds 1/2 exactly when the witness is negative.
     NumericalError when the projection annihilates the state."""
     witness = activation_witness(rho, sigma)
-    instance = ActivationInstance(rho, sigma, rho.dimA)
-    overlap, weight = filter_ratio(_joint_state(instance), activation_filters(instance.d))
+    overlap, weight = filter_ratio(_merge_pairs(rho, sigma), activation_filters(rho.dimA))
     return witness, overlap / weight, weight
 
 

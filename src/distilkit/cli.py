@@ -3,10 +3,11 @@
 One verb per library operation; every invocation writes at most one output
 artifact, prints a single summary line on stdout, and embeds
 ``{"seed", "version", "command", "options"}`` in the artifact so runs can be
-reproduced.  ``sweep`` and ``tomo-sim`` write a CSV table under a ``# meta:``
-line; every other verb writes its full report as strict JSON.  Exit codes:
-0 success, 1 domain verdict (violation/activator found), 2 usage or input
-error, 3 numerical/capacity error.
+reproduced; only the verbs that draw random numbers take ``--seed`` and
+record a ``seed``.  ``sweep`` and ``tomo-sim`` write a CSV table under a
+``# meta:`` line; every other verb writes its full report as strict JSON.
+Exit codes: 0 success, 1 domain verdict (violation/activator found), 2 usage
+or input error, 3 numerical/capacity error.
 """
 
 from __future__ import annotations
@@ -33,12 +34,8 @@ F2_VERDICT_TOL = 1e-6
 
 def _meta(args: argparse.Namespace) -> dict:
     options = {k: v for k, v in vars(args).items() if k not in ("func", "out") and v is not None}
-    return {
-        "seed": getattr(args, "seed", None),
-        "version": __version__,
-        "command": args.command,
-        "options": options,
-    }
+    seeded = {"seed": args.seed} if "seed" in vars(args) else {}
+    return {**seeded, "version": __version__, "command": args.command, "options": options}
 
 
 def _write_json(args, payload: dict) -> None:
@@ -71,7 +68,7 @@ def _family_state(args) -> BipartiteState:
     if getattr(args, "dB", None) is not None:
         params["dB"] = args.dB
     spec = StateFamilySpec(Family(args.family), d=args.d, params=params)
-    return states.construct_state(spec, seed=getattr(args, "seed", None))
+    return states.construct_state(spec, seed=args.seed)
 
 
 # --------------------------------------------------------------------------
@@ -121,15 +118,6 @@ def cmd_ppt(args) -> int:
     return EXIT_OK if flag else EXIT_VERDICT
 
 
-def cmd_undistill1(args) -> int:
-    state = states.load_state(args.state)
-    rep = distillability.single_copy_distillable(state, budget=args.budget, seed=args.seed)
-    _write_json(args, rep.to_dict())
-    found = rep.value < -distillability.VIOLATION_TOL
-    print(f"value={_fmt(rep.value)} violation={found} budget_exhausted={rep.budget_exhausted}")
-    return EXIT_VERDICT if found else EXIT_OK
-
-
 def cmd_ncopy(args) -> int:
     state = states.load_state(args.state)
     rep = distillability.n_copy_distillable(state, args.n, budget=args.budget, seed=args.seed)
@@ -173,7 +161,7 @@ def cmd_defclose(args) -> int:
 
 def cmd_tomo_frame(args) -> int:
     frame = tomography.minimal_ic_povm(args.m)
-    if args.m2:
+    if args.m2 is not None:
         frame = tomography.product_frame(frame, tomography.minimal_ic_povm(args.m2))
     payload = {
         "dim": frame.dim,
@@ -239,8 +227,7 @@ def cmd_activate_search(args) -> int:
 def cmd_jam_check(args) -> int:
     rho = states.load_state(args.rho)
     sigma = states.load_state(args.sigma)
-    inst = activation.ActivationInstance(rho, sigma, rho.dimA)
-    c, dev = activation.jam_check(inst, trials=args.trials, seed=args.seed)
+    c, dev = activation.jam_check(rho, sigma, trials=args.trials, seed=args.seed)
     _write_json(args, {"c": c, "max_deviation": dev})
     ok = dev <= 1e-9
     print(f"c={_fmt(c)} max_deviation={dev:.3e} ok={ok}")
@@ -249,7 +236,10 @@ def cmd_jam_check(args) -> int:
 
 def _sweep_values(args) -> list[float]:
     if args.values:
-        return [float(v) for v in args.values.split(",") if v.strip()]
+        vals = [float(v) for v in args.values.split(",") if v.strip()]
+        if not vals:
+            raise ParameterError("sweep needs >= 1 value, got none")
+        return vals
     if args.start is None or args.stop is None or args.step is None:
         raise ParameterError("sweep needs --values or --start/--stop/--step")
     if not all(map(math.isfinite, (args.start, args.stop, args.step))):
@@ -267,14 +257,14 @@ def _sweep_values(args) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
+    if args.repeats < 1:
+        raise ParameterError("need --repeats >= 1")
     values = _sweep_values(args)
     base_seed = args.seed if args.seed is not None else 0
     rows = []
     header: list[str]
     if args.task == "f2":
-        if args.param != "p":
-            raise ParameterError("task f2 sweeps the family weight --param p")
-        header = [args.param, "value", "ppt", "min_pt_eigenvalue"]
+        header = ["p", "value", "ppt", "min_pt_eigenvalue"]
         for idx, p in enumerate(values):
             spec = StateFamilySpec(Family(args.family), d=args.d, params={"p": p})
             state = states.construct_state(spec, seed=None)
@@ -283,17 +273,15 @@ def cmd_sweep(args) -> int:
             flag, lo = distillability.is_ppt(state)
             rows.append([p, rep.value, flag, lo])
     elif args.task == "ppt":
-        if args.param != "p":
-            raise ParameterError("task ppt sweeps the family weight --param p")
-        header = [args.param, "ppt", "min_pt_eigenvalue"]
+        header = ["p", "ppt", "min_pt_eigenvalue"]
         for p in values:
             spec = StateFamilySpec(Family(args.family), d=args.d, params={"p": p})
             state = states.construct_state(spec, seed=None)
             flag, lo = distillability.is_ppt(state)
             rows.append([p, flag, lo])
     elif args.task == "tomo-pipeline":
-        if args.param != "shots":
-            raise ParameterError("task tomo-pipeline sweeps --param shots")
+        if not all(v.is_integer() and v >= 1 for v in values):
+            raise ParameterError("shots must be finite positive integers")
         source = states.load_state(args.state) if args.state else _family_state(args)
         truth = source if source.pairs == 1 else states.partial_trace(source, {1})
         header = ["shots", "f_m", "chernoff", "trace_distance", "verdict"]
@@ -328,11 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"distilkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, seeded=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=fn)
         p.add_argument("--out", help="output artifact path")
-        p.add_argument("--seed", type=int, default=None)
+        if seeded:
+            p.add_argument("--seed", type=int, default=None)
         return p
 
     p = add("state", cmd_state, help="construct a named-family state")
@@ -354,28 +343,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=distillability.DEFAULT_RESTARTS)
     p.add_argument("--iters", type=int, default=distillability.DEFAULT_ITERS)
 
-    p = add("ppt", cmd_ppt, help="partial-transpose positivity test")
+    p = add("ppt", cmd_ppt, seeded=False, help="partial-transpose positivity test")
     p.add_argument("--state", required=True)
 
-    p = add("undistill1", cmd_undistill1, help="single-copy Schmidt-rank-2 violation search")
+    p = add("ncopy", cmd_ncopy, help="Schmidt-rank-2 violation search on the n-fold tensor power")
     p.add_argument("--state", required=True)
+    p.add_argument("--n", type=int, default=1)
     p.add_argument("--budget", type=int, default=20)
 
-    p = add("ncopy", cmd_ncopy, help="n-copy violation search on the tensor power")
-    p.add_argument("--state", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=20)
-
-    p = add("symmetrize", cmd_symmetrize, help="pair-permutation group average")
+    p = add("symmetrize", cmd_symmetrize, seeded=False, help="pair-permutation group average")
     p.add_argument("--state", required=True)
     p.add_argument("--double", action="store_true",
                    help="average A-side and B-side pair permutations independently")
 
-    p = add("mixpow", cmd_mixpow, help="mixture of k-fold product powers")
+    p = add("mixpow", cmd_mixpow, seeded=False, help="mixture of k-fold product powers")
     p.add_argument("--ensemble", required=True)
     p.add_argument("--k", type=int, required=True)
 
-    p = add("definetti-bound", cmd_definetti_bound, help="finite de Finetti bound 4 d^4 k / n")
+    p = add("definetti-bound", cmd_definetti_bound, seeded=False,
+            help="finite de Finetti bound 4 d^4 k / n")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -385,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=4)
     p.add_argument("--iters", type=int, default=40)
 
-    p = add("tomo-frame", cmd_tomo_frame, help="minimal IC-POVM (optionally a product frame)")
+    p = add("tomo-frame", cmd_tomo_frame, seeded=False,
+            help="minimal IC-POVM (optionally a product frame)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--m2", type=int, default=None)
 
@@ -400,12 +387,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, default=10_000)
     p.add_argument("--budget", type=int, default=20)
 
-    p = add("chernoff", cmd_chernoff, help="large-deviation tail bound")
+    p = add("chernoff", cmd_chernoff, seeded=False, help="large-deviation tail bound")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cardinality", type=int, required=True)
 
-    p = add("activate-check", cmd_activate_check, help="activation witness for a given pair")
+    p = add("activate-check", cmd_activate_check, seeded=False,
+            help="activation witness for a given pair")
     p.add_argument("--rho", required=True)
     p.add_argument("--sigma", required=True)
 
@@ -421,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("sweep", cmd_sweep, help="parameter sweep emitting a CSV table")
     p.add_argument("--task", required=True, choices=["f2", "ppt", "tomo-pipeline"])
-    p.add_argument("--param", required=True)
     p.add_argument("--values", default=None, help="comma-separated values")
     p.add_argument("--start", type=float, default=None)
     p.add_argument("--stop", type=float, default=None)

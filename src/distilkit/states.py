@@ -210,26 +210,34 @@ def construct_state(spec: StateFamilySpec, seed: Optional[int] = None) -> Bipart
     raise ParameterError(f"unknown family {spec.family!r}")
 
 
+def _check_cap(dim: int) -> None:
+    if dim > DIM_CAP:
+        raise CapacityError(f"result dimension {dim} exceeds cap {DIM_CAP}")
+
+
+def kron_power(mat: np.ndarray, n: int) -> np.ndarray:
+    """n-fold Kronecker power mat (x) ... (x) mat of a square matrix, n >= 1;
+    the cap is checked before anything is allocated."""
+    if n < 1:
+        raise ParameterError("tensor power needs n >= 1")
+    _check_cap(mat.shape[0] ** n)
+    out = mat
+    for _ in range(n - 1):
+        out = np.kron(out, mat)
+    return out
+
+
 def tensor(a: BipartiteState, b: BipartiteState) -> BipartiteState:
     """Tensor product; pair counts add and the pair-major index order is kept."""
     if (a.dimA, a.dimB) != (b.dimA, b.dimB):
         raise ParameterError("pair dimensions must match to concatenate pair lists")
-    dim = a.pair_dim ** (a.pairs + b.pairs)
-    if dim > DIM_CAP:
-        raise CapacityError(f"result dimension {dim} exceeds cap {DIM_CAP}")
+    _check_cap(a.pair_dim ** (a.pairs + b.pairs))
     return BipartiteState(np.kron(a.data, b.data), a.dimA, a.dimB, a.pairs + b.pairs)
 
 
 def tensor_power(state: BipartiteState, n: int) -> BipartiteState:
-    if n < 1:
-        raise ParameterError("tensor power needs n >= 1")
-    dim = state.dim ** n
-    if dim > DIM_CAP:
-        raise CapacityError(f"result dimension {dim} exceeds cap {DIM_CAP}")
-    out = state
-    for _ in range(n - 1):
-        out = tensor(out, state)
-    return out
+    """n-fold tensor power; pair counts multiply."""
+    return BipartiteState(kron_power(state.data, n), state.dimA, state.dimB, state.pairs * n)
 
 
 def partial_trace(state: BipartiteState, keep: set[int]) -> BipartiteState:

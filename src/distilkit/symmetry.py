@@ -57,9 +57,7 @@ class Ensemble:
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
 
     def average(self) -> BipartiteState:
-        m = self.members[0]
-        acc = sum(w * s.data for w, s in zip(self.weights, self.members))
-        return BipartiteState(acc, m.dimA, m.dimB)
+        return mixture_of_powers(self, 1)
 
 
 def permutation_operator(perm: Permutation, pair_dim: int) -> np.ndarray:
@@ -151,18 +149,10 @@ def definetti_bound(d: int, k: int, n: int) -> float:
 def mixture_of_powers(ensemble: Ensemble, k: int) -> BipartiteState:
     """sum_i w_i rho_i^(x k): a permutation-symmetric extension whose every
     single-pair marginal equals the ensemble average."""
-    if k < 1:
-        raise ParameterError("k must be >= 1")
     m = ensemble.members[0]
-    dim = m.pair_dim ** k
-    if dim > DIM_CAP:
-        raise CapacityError(f"result dimension {dim} exceeds cap {DIM_CAP}")
-    acc = np.zeros((dim, dim), dtype=complex)
+    acc = 0  # the first term raises on the cap before anything is allocated
     for w, member in zip(ensemble.weights, ensemble.members):
-        power = member.data
-        for _ in range(k - 1):
-            power = np.kron(power, member.data)
-        acc += w * power
+        acc += w * states.kron_power(member.data, k)
     return BipartiteState(acc, m.dimA, m.dimB, k)
 
 
@@ -267,19 +257,13 @@ def best_product_mixture_distance(
     rng_root = np.random.default_rng(seed)
     child_seeds = rng_root.integers(0, 2 ** 63 - 1, size=restarts)
 
-    def power(mat):
-        out = mat
-        for _ in range(k - 1):
-            out = np.kron(out, mat)
-        return out
-
     def run(restart_idx: int) -> tuple[float, list[np.ndarray], np.ndarray]:
         rng = np.random.default_rng(child_seeds[restart_idx])
         members = [mat.copy() for mat in base_pool]
         while len(members) < support:
             members.append(linalg.random_density(rng, m))
         members = members[:support]
-        powers = [power(mat) for mat in members]
+        powers = [states.kron_power(mat, k) for mat in members]
         w = np.full(len(members), 1.0 / len(members))
         w = _weight_step(target, powers, w)
 
@@ -301,7 +285,7 @@ def best_product_mixture_distance(
                     continue
                 cand /= t
                 trial_powers = list(powers)
-                trial_powers[idx] = power(cand)
+                trial_powers[idx] = states.kron_power(cand, k)
                 w_trial = _weight_step(target, trial_powers, w)
                 val = objective(w_trial, trial_powers)
                 if val < best - 1e-12:

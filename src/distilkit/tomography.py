@@ -158,9 +158,7 @@ def reconstruct_from_probabilities(probs: np.ndarray, frame: Frame) -> np.ndarra
     return linalg.hermitize(np.tensordot(probs, frame.duals, axes=1))
 
 
-def closest_state(
-    x: np.ndarray, dimA: int, dimB: int, pairs: int = 1
-) -> BipartiteState:
+def closest_state(x: np.ndarray, dimA: int, dimB: int) -> BipartiteState:
     """Density operator minimizing the trace norm ||sigma - X||_1.
 
     A minimizer commuting with X always exists (pinching in X's eigenbasis is
@@ -178,7 +176,7 @@ def closest_state(
     pos = np.clip(w, 0.0, None)
     s = _water_fill(pos, 1.0)
     sigma = (v * s) @ v.conj().T
-    return BipartiteState(sigma, dimA, dimB, pairs)
+    return BipartiteState(sigma, dimA, dimB)
 
 
 def _water_fill(caps: np.ndarray, total: float) -> np.ndarray:
@@ -334,25 +332,20 @@ def estimation_pipeline(
 # Counts CSV: rows of "outcome_index,count"
 # ---------------------------------------------------------------------------
 
-def save_counts(counts: OutcomeCounts, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["outcome_index", "count"])
-        for idx, c in enumerate(counts.counts):
-            writer.writerow([idx, c])
-
-
 def load_counts(path) -> OutcomeCounts:
-    rows = []
-    with open(path, newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.reader(lines)
-    if next(reader, None) != ["outcome_index", "count"]:
-        raise ParameterError("bad counts header")
-    for idx, c in reader:
-        rows.append((int(idx), int(c)))
-    rows.sort()
-    if [idx for idx, _ in rows] != list(range(len(rows))):
-        raise ParameterError("outcome indices must be exactly 0..K-1, each once")
-    counts = tuple(c for _, c in rows)
-    return OutcomeCounts(counts, sum(counts))
+    """Read a counts table, skipping ``#`` lines such as ``tomo-sim``'s meta line;
+    a missing or malformed file is a ParameterError naming it."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader([ln for ln in fh if not ln.startswith("#")])
+        if next(reader, None) != ["outcome_index", "count"]:
+            raise ParameterError("bad counts header")
+        rows = sorted((int(idx), int(c)) for idx, c in reader)
+        if [idx for idx, _ in rows] != list(range(len(rows))):
+            raise ParameterError("outcome indices must be exactly 0..K-1, each once")
+        counts = tuple(c for _, c in rows)
+        return OutcomeCounts(counts, sum(counts))
+    except FileNotFoundError as exc:
+        raise ParameterError(f"file not found: {path}") from exc
+    except ValueError as exc:  # ParameterError, a row that is not two integers, bad UTF-8
+        raise ParameterError(f"{path}: {exc}") from exc

@@ -71,7 +71,7 @@ class TestApplyActivation:
         d = 2
         rho = random_state(rng, d, d)
         sigma = random_state(rng, 2 * d, 2 * d)
-        out, weight = dk.apply_activation(dk.ActivationInstance(rho, sigma, d))
+        out, weight = dk.apply_activation(rho, sigma)
         ref = protocol_output_reference(rho.data, sigma.data, d)
         assert np.max(np.abs(out - ref)) < 1e-12
         assert abs(weight - np.trace(ref).real) < 1e-12
@@ -81,13 +81,13 @@ class TestApplyActivation:
         kappa = random_state(rng, 2, 2)
         tau = random_state(rng, d, d)
         sigma = dk.pair_product(tau, kappa)
-        out, weight = dk.apply_activation(dk.ActivationInstance(phi_state(d), sigma, d))
+        out, weight = dk.apply_activation(phi_state(d), sigma)
         assert np.max(np.abs(out / weight - kappa.data)) < 1e-12
 
     def test_identity_composition_gives_phi2(self):
         d = 2
         sigma = dk.pair_product(phi_state(d), phi_state(2))
-        out, weight = dk.apply_activation(dk.ActivationInstance(phi_state(d), sigma, d))
+        out, weight = dk.apply_activation(phi_state(d), sigma)
         fid = np.real(np.trace(out @ PHI2)) / weight
         assert abs(fid - 1.0) < 1e-12
 
@@ -97,7 +97,7 @@ class TestApplyActivation:
         x, y = linalg.random_density(rng, d), linalg.random_density(rng, d)
         rho = dk.BipartiteState(np.kron(x, y), d, d)
         sigma = random_state(rng, 2 * d, 2 * d)
-        out, _ = dk.apply_activation(dk.ActivationInstance(rho, sigma, d))
+        out, _ = dk.apply_activation(rho, sigma)
         ref = protocol_output_reference(rho.data, sigma.data, d)
         assert np.max(np.abs(out - ref)) < 1e-12
 
@@ -111,7 +111,7 @@ class TestApplyActivation:
         v = np.kron(np.kron(a2, [1, 0]), np.kron(a2, [1, 0]))
         sigma = dk.BipartiteState(np.outer(v, v), 2 * d, 2 * d)
         with pytest.raises(NumericalError):
-            dk.apply_activation(dk.ActivationInstance(rho, sigma, d))
+            dk.apply_activation(rho, sigma)
 
 
 class TestJamCheck:
@@ -119,7 +119,7 @@ class TestJamCheck:
     def test_proportionality_holds(self, d, rng):
         rho = random_state(rng, d, d)
         sigma = random_state(rng, 2 * d, 2 * d)
-        c, dev = dk.jam_check(dk.ActivationInstance(rho, sigma, d), trials=25, seed=3)
+        c, dev = dk.jam_check(rho, sigma, trials=25, seed=3)
         assert c > 0
         assert dev <= 1e-9
 
@@ -127,23 +127,20 @@ class TestJamCheck:
         d = 2
         rho = random_state(rng, d, d)
         sigma = random_state(rng, 2 * d, 2 * d)
-        inst = dk.ActivationInstance(rho, sigma, d)
-        c, _ = dk.jam_check(inst, trials=10, seed=1)
-        _, weight = dk.apply_activation(inst)
+        c, _ = dk.jam_check(rho, sigma, trials=10, seed=1)
+        _, weight = dk.apply_activation(rho, sigma)
         den = dk.activation.target_pairing(rho, sigma, np.eye(4))
         assert abs(weight / den - c) < 1e-9
 
     def test_trials_below_one_rejected(self, rng):
-        inst = dk.ActivationInstance(random_state(rng, 2, 2), random_state(rng, 4, 4), 2)
         with pytest.raises(ParameterError, match="trials"):
-            dk.jam_check(inst, trials=0)
+            dk.jam_check(random_state(rng, 2, 2), random_state(rng, 4, 4), trials=0)
 
     def test_scaling_probe_invariance(self, rng):
         d = 2
         rho = random_state(rng, d, d)
         sigma = random_state(rng, 2 * d, 2 * d)
-        inst = dk.ActivationInstance(rho, sigma, d)
-        out, _ = dk.apply_activation(inst)
+        out, _ = dk.apply_activation(rho, sigma)
         z = linalg.random_density(rng, 4)
         r1 = np.real(np.trace(out @ z)) / dk.activation.target_pairing(rho, sigma, z)
         r3 = np.real(np.trace(out @ (3 * z))) / dk.activation.target_pairing(rho, sigma, 3 * z)
@@ -180,7 +177,7 @@ class TestActivationWitness:
         sigma = dk.pair_product(phi_state(d), phi_state(2))
         w = dk.activation_witness(phi_state(d), sigma)
         assert w < -0.4  # fidelity 1 > 1/2 via apply_activation
-        out, weight = dk.apply_activation(dk.ActivationInstance(phi_state(d), sigma, d))
+        out, weight = dk.apply_activation(phi_state(d), sigma)
         assert np.real(np.trace(out @ PHI2)) / weight > 0.5
 
     def test_separable_target_nonnegative_on_ppt_activators(self, rng):
@@ -228,7 +225,7 @@ class TestActivationWitness:
             w = dk.activation_witness(rho, sigma)
             if abs(w) <= 1e-9:
                 continue
-            out, weight = dk.apply_activation(dk.ActivationInstance(rho, sigma, d))
+            out, weight = dk.apply_activation(rho, sigma)
             fid = np.real(np.trace(out @ PHI2)) / weight
             checked += 1
             agreements += (w < 0) == (fid > 0.5)
@@ -237,6 +234,19 @@ class TestActivationWitness:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ParameterError):
             dk.activation_witness(random_state(rng, 2, 2), random_state(rng, 3, 3))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 3, 1)])
+    def test_activator_shape_rejected(self, rng, shape):
+        # a two-pair or a non-square activator whose dimA still matches the target
+        # is a ParameterError on every route, not a reshape error from numpy
+        dA, dB, pairs = shape
+        rho = random_state(rng, dA, dB, pairs=pairs)
+        sigma = random_state(rng, 2 * dA, 2 * dA)
+        routes = [dk.activation_witness, dk.apply_activation, dk.jam_check, dk.evaluate_activation,
+                  lambda r, s: dk.activation.target_pairing(r, s, np.eye(4))]
+        for route in routes:
+            with pytest.raises(ParameterError, match="activator"):
+                route(rho, sigma)
 
 
 def pairing_by_matrix_units(sigma: dk.BipartiteState, z: np.ndarray) -> np.ndarray:

@@ -75,15 +75,23 @@ class TestStateAndVerdicts:
         run(["state", "--family", "werner", "--d", "2", "--p", "0.2", "--out", str(spath)])
         assert run(["ppt", "--state", str(spath)]) == 0
 
-    def test_undistill1_and_ncopy(self, tmp_path, werner_file):
-        assert run(["undistill1", "--state", werner_file, "--seed", "1"]) == 1
+    def test_ncopy_one_and_two_copies(self, tmp_path, werner_file):
+        out = tmp_path / "n1.json"
+        assert run(["ncopy", "--state", werner_file, "--seed", "1", "--out", str(out)]) == 1
+        # --n defaults to 1: the single-copy search on the state itself
+        direct = dk.single_copy_distillable(dk.load_state(werner_file), budget=20, seed=1)
+        payload = read_json(out)
+        assert payload.pop("meta")["options"]["n"] == 1
+        assert payload == json.loads(json.dumps(direct.to_dict()))
         assert run(["ncopy", "--state", werner_file, "--n", "2", "--seed", "1",
                     "--budget", "4"]) == 1
+        assert run(["undistill1", "--state", werner_file]) == 2
 
     def test_schmidt_search_artifacts_carry_diagnostics(self, capsys, tmp_path, werner_file):
         capsys.readouterr()
-        for verb in (["undistill1"], ["ncopy", "--n", "2"]):
-            out = tmp_path / f"{verb[0]}.json"
+        for n in ("1", "2"):
+            verb = ["ncopy", "--n", n]
+            out = tmp_path / f"n{n}.json"
             assert run(verb + ["--state", werner_file, "--seed", "1", "--budget", "4",
                                "--out", str(out)]) == 1
             payload = read_json(out)
@@ -130,7 +138,7 @@ class TestScalarCommands:
         payload = read_json(out)
         assert payload["raw"] is None and payload["reported"] == 1.0
 
-    @pytest.mark.parametrize("verb", [["undistill1", "--state", "S", "--budget", "0"],
+    @pytest.mark.parametrize("verb", [["ncopy", "--state", "S", "--budget", "0"],
                                       ["ncopy", "--state", "S", "--n", "2", "--budget", "0"],
                                       ["jam-check", "--rho", "S", "--sigma", "T", "--trials", "0"]])
     def test_budget_below_one_is_usage_error(self, capsys, tmp_path, werner_file, verb):
@@ -146,11 +154,14 @@ class TestScalarCommands:
     @pytest.mark.parametrize("verb", [
         ["f2", "--state", "S", "--iters", "0"], ["f2", "--state", "S", "--iters", "-1"],
         ["fd", "--state", "S", "--D", "3", "--iters", "0"],
-        ["sweep", "--task", "f2", "--param", "p", "--values", "0.7", "--iters", "0"],
+        ["sweep", "--task", "f2", "--values", "0.7", "--iters", "0"],
         ["defclose", "--state", "P", "--restarts", "0"],
         ["defclose", "--state", "P", "--iters", "-1"],
         ["f2", "--state", "S", "--tol", "nan"], ["f2", "--state", "S", "--tol=-1e-9"],
-        ["f2", "--state", "S", "--tol", "inf"]])
+        ["f2", "--state", "S", "--tol", "inf"],
+        ["sweep", "--task", "tomo-pipeline", "--values", "100", "--state", "S", "--repeats", "0"],
+        ["sweep", "--task", "tomo-pipeline", "--values", "100", "--state", "S", "--repeats", "-1"],
+        ["sweep", "--task", "ppt", "--values", ","]])
     def test_empty_search_is_usage_error(self, capsys, tmp_path, werner_file, verb):
         power = tmp_path / "p2.json"
         dk.save_state(dk.tensor_power(dk.werner_state(2, 0.8), 2), power)
@@ -212,7 +223,13 @@ class TestScalarCommands:
         (["chernoff", "--delta", "0.1", "--n", str(10 ** 400), "--cardinality", "4"], "overflows"),
         (["definetti-bound", "--d", str(10 ** 400), "--k", "1", "--n", "2"], "overflows"),
         (["definetti-bound", "--d", "2", "--k", "1", "--n", str(10 ** 400)], "overflows"),
-        (["sweep", "--task", "ppt", "--param", "p", "--values", "0.5", "--p", "nan"], "JSON")])
+        (["sweep", "--task", "ppt", "--values", "0.5", "--p", "nan"], "JSON"),
+        (["sweep", "--task", "tomo-pipeline", "--values", "inf", "--p", "0.7"],
+         "positive integers"),
+        (["sweep", "--task", "tomo-pipeline", "--values", "1e400", "--p", "0.7"],
+         "positive integers"),
+        (["sweep", "--task", "tomo-pipeline", "--values", "1.5", "--p", "0.7"],
+         "positive integers")])
     def test_unrepresentable_number_is_usage_error(self, capsys, tmp_path, verb, message):
         out = tmp_path / "o.json"
         assert run(verb + ["--out", str(out)]) == 2
@@ -232,9 +249,24 @@ class TestScalarCommands:
 
     def test_no_verb_takes_a_format_option(self, werner_file):
         sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        assert len(sub.choices) == 18
+        assert len(sub.choices) == 17
         assert all("--format" not in p._option_string_actions for p in sub.choices.values())
         assert run(["f2", "--state", werner_file, "--format", "csv"]) == 2
+
+    def test_only_random_verbs_take_a_seed(self, capsys, tmp_path, werner_file):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        seeded = {name for name, p in sub.choices.items() if "--seed" in p._option_string_actions}
+        # activate-search keeps an ignored --seed that the benchmark chains still pass
+        assert seeded == {"state", "f2", "fd", "ncopy", "defclose", "tomo-sim", "tomo-pipeline",
+                          "activate-search", "jam-check", "sweep"}
+        out = tmp_path / "o.json"
+        for verb in (["ppt", "--state", werner_file, "--seed", "1"],
+                     ["sweep", "--task", "ppt", "--param", "p", "--values", "0.3"]):
+            assert run(verb + ["--out", str(out)]) == 2 and not out.exists()
+        meta = read_json(Path(werner_file))["meta"]
+        assert "seed" in meta
+        assert run(["ppt", "--state", werner_file, "--out", str(out)]) == 1
+        assert "seed" not in read_json(out)["meta"]
 
     def test_unknown_option_rejected(self):
         assert run(["definetti-bound", "--d", "2", "--k", "1", "--n", "100",
@@ -384,7 +416,7 @@ def malformed_file(draw, valid, payloads):
 # M is the malformed file, S a valid single-pair state
 STATE_VERBS = [
     ["ppt", "--state", "M"], ["f2", "--state", "M"], ["fd", "--state", "M", "--D", "2"],
-    ["undistill1", "--state", "M"], ["ncopy", "--state", "M", "--n", "1"],
+    ["ncopy", "--state", "M"], ["ncopy", "--state", "M", "--n", "1"],
     ["symmetrize", "--state", "M"], ["defclose", "--state", "M"],
     ["tomo-sim", "--state", "M", "--shots", "10"], ["tomo-pipeline", "--state", "M"],
     ["activate-check", "--rho", "M", "--sigma", "S"], ["activate-check", "--rho", "S", "--sigma", "M"],
@@ -497,6 +529,13 @@ class TestTomographyCommands:
         assert payload["verdict"] == "distillable"
         assert payload["surrogate"] is True
 
+    def test_zero_second_frame_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "f.json"
+        assert run(["tomo-frame", "--m", "2", "--m2", "0", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == "error: need dimension m >= 2\n"
+
 
 class TestActivationCommands:
     def test_jam_check(self, tmp_path):
@@ -535,8 +574,7 @@ class TestActivationCommands:
         rho, sig = tmp_path / "r.json", tmp_path / "s.json"
         dk.save_state(phi2, rho)
         dk.save_state(sigma, sig)
-        assert run(["activate-check", "--rho", str(rho), "--sigma", str(sig),
-                    "--seed", "2"]) == 1
+        assert run(["activate-check", "--rho", str(rho), "--sigma", str(sig)]) == 1
 
     def test_activation_artifacts_carry_no_constant(self, tmp_path):
         phi2 = dk.construct_state(dk.StateFamilySpec(dk.Family.MAX_ENTANGLED, 2))
@@ -568,7 +606,7 @@ class TestActivationCommands:
 class TestSweep:
     def test_f2_sweep_monotone(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        code = run(["sweep", "--task", "f2", "--param", "p", "--start", "0",
+        code = run(["sweep", "--task", "f2", "--start", "0",
                     "--stop", "1", "--step", "0.1", "--family", "werner", "--d", "2",
                     "--restarts", "8", "--seed", "7", "--out", str(out)])
         assert code == 0
@@ -579,7 +617,7 @@ class TestSweep:
         assert all(b >= a - 1e-6 for a, b in zip(vals, vals[1:]))
 
     def test_empty_range_usage_error(self):
-        assert run(["sweep", "--task", "f2", "--param", "p", "--start", "1",
+        assert run(["sweep", "--task", "f2", "--start", "1",
                     "--stop", "0", "--step", "0.1"]) == 2
 
     @pytest.mark.parametrize("start,stop,step,message", [
@@ -589,21 +627,21 @@ class TestSweep:
     def test_range_that_cannot_end_is_usage_error(self, capsys, tmp_path, start, stop, step, message):
         # a step that cannot advance, or an unbounded range, has no last row
         out = tmp_path / "s.csv"
-        assert run(["sweep", "--task", "ppt", "--param", "p", f"--start={start}", f"--stop={stop}",
+        assert run(["sweep", "--task", "ppt", f"--start={start}", f"--stop={stop}",
                     f"--step={step}", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and not out.exists()
 
     def test_range_rows(self, tmp_path):
         out = tmp_path / "s.csv"
-        assert run(["sweep", "--task", "ppt", "--param", "p", "--start", "0", "--stop", "1",
+        assert run(["sweep", "--task", "ppt", "--start", "0", "--stop", "1",
                     "--step", "0.05", "--family", "werner", "--d", "2", "--out", str(out)]) == 0
         _, rows = read_sweep_csv(out)
         assert [r["p"] for r in rows] == [f"{0.05 * i:.12g}" for i in range(21)]
 
     def test_shots_sweep_trace_distance_nonincreasing(self, tmp_path, werner_file):
         out = tmp_path / "shots.csv"
-        code = run(["sweep", "--task", "tomo-pipeline", "--param", "shots",
+        code = run(["sweep", "--task", "tomo-pipeline",
                     "--values", "100,1000,10000,100000", "--state", werner_file,
                     "--repeats", "20", "--seed", "11", "--out", str(out)])
         assert code == 0
@@ -615,7 +653,7 @@ class TestSweep:
         outs = []
         for name in ("a.csv", "b.csv"):
             out = tmp_path / name
-            run(["sweep", "--task", "f2", "--param", "p", "--values", "0.7,0.9",
+            run(["sweep", "--task", "f2", "--values", "0.7,0.9",
                  "--family", "werner", "--restarts", "6", "--seed", "3",
                  "--out", str(out)])
             _, rows = read_sweep_csv(out)

@@ -409,10 +409,6 @@ class TestSingleCopy:
         with pytest.raises(ParameterError, match="budget"):
             dk.n_copy_distillable(phi_state(), 2, budget=0)
 
-    def test_iters_below_one_rejected(self):
-        with pytest.raises(ParameterError, match="iters"):
-            dk.single_copy_distillable(phi_state(), iters=0)
-
     def test_diagnostics_name_the_attempts_run(self):
         ppt = [dk.construct_state(dk.StateFamilySpec(dk.Family.RANDOM_PPT, d), seed=s)
                for d, s in ((2, 3), (3, 0))]
@@ -420,14 +416,15 @@ class TestSingleCopy:
                  (dk.construct_state(dk.StateFamilySpec(dk.Family.RANDOM_MIXED, 3), seed=2), 6, 3),
                  (ppt[1], 5, 0)]  # the last attempt wins here
         for state, budget, seed in cases:
-            rep = dk.single_copy_distillable(state, budget=budget, seed=seed, iters=60)
+            rep = dk.single_copy_distillable(state, budget=budget, seed=seed)
             assert rep.redraws is None
-            assert len(rep.iterations) == rep.restarts and all(1 <= n <= 60 for n in rep.iterations)
+            assert len(rep.iterations) == rep.restarts
+            assert all(1 <= n <= dk.distillability.SCHMIDT_ITERS for n in rep.iterations)
             assert rep.restarts == (budget if rep.budget_exhausted else rep.best_restart + 1)
             # the attempts share one generator, so the winning attempt's prefix of the
             # budget reproduces the value and the sweeps bit for bit
             k = rep.best_restart + 1
-            prefix = dk.single_copy_distillable(state, budget=k, seed=seed, iters=60)
+            prefix = dk.single_copy_distillable(state, budget=k, seed=seed)
             assert prefix.value == rep.value and np.array_equal(prefix.certificate, rep.certificate)
             assert prefix.iterations == rep.iterations[:k]
             if k > 1:

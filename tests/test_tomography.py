@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import distilkit as dk
 from distilkit import linalg, tomography
+from distilkit.cli import run
 from distilkit.errors import FrameError, NumericalError, ParameterError
 
 from conftest import random_state
@@ -60,26 +61,32 @@ def water_fill_loop(caps, total):
 
 
 def simplex_project(w):
-    u = np.sort(w)[::-1]
-    css = np.cumsum(u)
-    rho = np.nonzero(u * np.arange(1, len(w) + 1) > (css - 1.0))[0][-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
+    """Euclidean projection of each vector along the last axis onto the simplex."""
+    u = np.sort(w, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1)
+    fits = u * np.arange(1, w.shape[-1] + 1) > (css - 1.0)
+    rho = w.shape[-1] - 1 - np.argmax(fits[..., ::-1], axis=-1)  # the last index that fits
+    theta = (np.take_along_axis(css, rho[..., None], -1) - 1.0) / (rho[..., None] + 1.0)
     return np.clip(w - theta, 0.0, None)
 
 
 def pg_closest_state(x, stages=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8), iters=300):
-    """Independent convex oracle: annealed smoothed projected gradient (FISTA)."""
+    """Independent convex oracle: annealed smoothed projected gradient (FISTA),
+    on one matrix or on a stack of them, each its own problem."""
+    def dag(a):
+        return np.swapaxes(a.conj(), -1, -2)
+
     def proj_density(h):
-        w, v = np.linalg.eigh((h + h.conj().T) / 2)
-        return (v * simplex_project(w)) @ v.conj().T
+        w, v = np.linalg.eigh((h + dag(h)) / 2)
+        return (v * simplex_project(w)[..., None, :]) @ dag(v)
 
     sigma = proj_density(x)
     for mu in stages:
         y, prev, t = sigma, sigma, 1.0
         for _ in range(iters):
             d = y - x
-            w, v = np.linalg.eigh((d + d.conj().T) / 2)
-            g = (v * np.clip(w / mu, -1, 1)) @ v.conj().T
+            w, v = np.linalg.eigh((d + dag(d)) / 2)
+            g = (v * np.clip(w / mu, -1, 1)[..., None, :]) @ dag(v)
             nxt = proj_density(y - mu * g)
             t2 = (1 + np.sqrt(1 + 4 * t * t)) / 2
             y = nxt + ((t - 1) / t2) * (nxt - prev)
@@ -396,11 +403,17 @@ class TestCountsCsv:
         ["0,5", "2,3"],  # gap
         ["1,5", "2,3"],  # does not start at 0
         ["0,5", "1,-3"],  # negative count
+        ["0,1,2"],  # three fields
+        ["0,x"],  # not a number
+        ["0"],  # one field
+        ["0,1.5"],  # not an integer
+        None,  # no file
     ])
     def test_bad_rows_rejected(self, tmp_path, rows):
         path = tmp_path / "c.csv"
-        path.write_text("\n".join(["outcome_index,count"] + rows) + "\n")
-        with pytest.raises(ParameterError):
+        if rows is not None:
+            path.write_text("\n".join(["outcome_index,count"] + rows) + "\n")
+        with pytest.raises(ParameterError, match="c.csv"):
             tomography.load_counts(path)
 
     @pytest.mark.parametrize("text", ["", "# c\n"])
@@ -415,10 +428,11 @@ class TestCountsCsv:
             tomography.OutcomeCounts((5, 5, -3), 7)
 
     def test_roundtrip(self, tmp_path):
-        fr = dk.minimal_ic_povm(2)
-        pf = dk.product_frame(fr, fr)
-        counts = dk.simulate_measurements(phi_state(), pf, 1000, seed=2)
-        path = tmp_path / "c.csv"
-        tomography.save_counts(counts, path)
+        # tomo-sim writes the counts table; the reader skips its "# meta:" line
+        state_path, path = tmp_path / "phi.json", tmp_path / "c.csv"
+        dk.save_state(phi_state(), state_path)
+        assert run(["tomo-sim", "--state", str(state_path), "--shots", "1000", "--seed", "2",
+                    "--out", str(path)]) == 0
+        counts = dk.simulate_measurements(phi_state(), tomography.local_frame(phi_state()), 1000, 2)
         back = tomography.load_counts(path)
         assert back.counts == counts.counts and back.shots == counts.shots
