@@ -210,20 +210,31 @@ def construct_state(spec: StateFamilySpec, seed: Optional[int] = None) -> Bipart
     raise ParameterError(f"unknown family {spec.family!r}")
 
 
-def _check_cap(dim: int) -> None:
-    if dim > DIM_CAP:
-        raise CapacityError(f"result dimension {dim} exceeds cap {DIM_CAP}")
+def power_dim(d: int, n: int) -> int:
+    """Dimension d**n of an n-fold power of a d x d matrix, n >= 1, after the cap check.
+
+    For d >= 2, d**n exceeds the cap once n passes ``DIM_CAP.bit_length()``, so
+    the power is never computed for a larger n."""
+    if n < 1:
+        raise ParameterError("tensor power needs n >= 1")
+    if d ** min(n, DIM_CAP.bit_length()) > DIM_CAP:
+        raise CapacityError(f"result dimension {d}**{n} exceeds cap {DIM_CAP}")
+    return d ** n
 
 
 def kron_power(mat: np.ndarray, n: int) -> np.ndarray:
-    """n-fold Kronecker power mat (x) ... (x) mat of a square matrix, n >= 1;
-    the cap is checked before anything is allocated."""
-    if n < 1:
-        raise ParameterError("tensor power needs n >= 1")
-    _check_cap(mat.shape[0] ** n)
+    """n-fold Kronecker power mat (x) ... (x) mat of each square matrix in a
+    ``(..., d, d)`` stack, n >= 1; the cap is checked before anything is allocated.
+
+    Each factor is one broadcast product, entry for entry the products of
+    ``np.kron``, so a single matrix gets the ``np.kron`` chain bit for bit."""
+    d = mat.shape[-1]
+    power_dim(d, n)
+    lead = mat.shape[:-2]
     out = mat
     for _ in range(n - 1):
-        out = np.kron(out, mat)
+        side = out.shape[-1] * d
+        out = (out[..., :, None, :, None] * mat[..., None, :, None, :]).reshape(lead + (side, side))
     return out
 
 
@@ -231,7 +242,7 @@ def tensor(a: BipartiteState, b: BipartiteState) -> BipartiteState:
     """Tensor product; pair counts add and the pair-major index order is kept."""
     if (a.dimA, a.dimB) != (b.dimA, b.dimB):
         raise ParameterError("pair dimensions must match to concatenate pair lists")
-    _check_cap(a.pair_dim ** (a.pairs + b.pairs))
+    power_dim(a.pair_dim, a.pairs + b.pairs)
     return BipartiteState(np.kron(a.data, b.data), a.dimA, a.dimB, a.pairs + b.pairs)
 
 
@@ -247,15 +258,15 @@ def partial_trace(state: BipartiteState, keep: set[int]) -> BipartiteState:
         raise ParameterError("keep set must be nonempty")
     if not keep_set <= set(range(1, state.pairs + 1)):
         raise ParameterError(f"keep set {keep_set} not within 1..{state.pairs}")
-    kept = sorted(keep_set)
     k, m = state.pairs, state.pair_dim
-    full = state.data.reshape((m,) * k + (m,) * k)
-    traced = sorted(set(range(1, k + 1)) - keep_set, reverse=True)
-    for p in traced:
-        ax = p - 1
-        full = np.trace(full, axis1=ax, axis2=ax + full.ndim // 2)
+    kept = sorted(p - 1 for p in keep_set)
+    # one einsum over the row labels 0..k-1 and the column labels k..2k-1, in
+    # which a traced pair's column takes its row label: only the diagonal is read
+    cols = [k + p if p in kept else p for p in range(k)]
+    out = np.einsum(state.data.reshape((m,) * (2 * k)), list(range(k)) + cols,
+                    kept + [k + p for p in kept])
     side = m ** len(kept)
-    return BipartiteState(full.reshape(side, side), state.dimA, state.dimB, len(kept))
+    return BipartiteState(out.reshape(side, side), state.dimA, state.dimB, len(kept))
 
 
 def partial_transpose(state: BipartiteState) -> np.ndarray:

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, states
-from .errors import CapacityError, ParameterError
-from .states import DIM_CAP, BipartiteState
+from .errors import ParameterError
+from .states import BipartiteState
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,7 @@ def permutation_operator(perm: Permutation, pair_dim: int) -> np.ndarray:
     factors reordered by perm^{-1}.
     """
     k = perm.k
-    size = pair_dim ** k
-    if size > DIM_CAP:
-        raise CapacityError(f"operator dimension {size} exceeds cap {DIM_CAP}")
+    size = states.power_dim(pair_dim, k)
     rows = tuple(i - 1 for i in perm.inverse().mapping)
     eye = np.eye(size).reshape((pair_dim,) * (2 * k))
     return eye.transpose(rows + tuple(range(k, 2 * k))).reshape(size, size)
@@ -88,11 +86,14 @@ def _transposition_sweeps(t: np.ndarray, slots: range) -> np.ndarray:
     k(k-1)/2 axis swaps of a row and a column factor pair, not one gather per sigma."""
     n = t.ndim // 2
     for pos, j in enumerate(slots[1:], start=1):
-        acc = t.copy()
+        views = []
         for i in slots[:pos]:
             axes = list(range(2 * n))
             axes[i], axes[j], axes[n + i], axes[n + j] = j, i, n + j, n + i
-            acc += t.transpose(axes)
+            views.append(t.transpose(axes))
+        acc = t + views[0]  # the first add allocates the level's sum: no copy of t
+        for view in views[1:]:
+            acc += view
         t = acc
     return t
 
@@ -148,12 +149,23 @@ def definetti_bound(d: int, k: int, n: int) -> float:
 
 def mixture_of_powers(ensemble: Ensemble, k: int) -> BipartiteState:
     """sum_i w_i rho_i^(x k): a permutation-symmetric extension whose every
-    single-pair marginal equals the ensemble average."""
+    single-pair marginal equals the ensemble average.
+
+    For k >= 2 it is one contraction over the members, by
+    sum_i w_i rho_i^(x k) = sum_i (w_i rho_i) (x) rho_i^(x (k-1)), whose
+    innermost loop runs along a row of the (k-1)-fold power; k = 1 is the
+    ordered sum 0 + w_0 rho_0 + w_1 rho_1 + ...."""
     m = ensemble.members[0]
-    acc = 0  # the first term raises on the cap before anything is allocated
-    for w, member in zip(ensemble.weights, ensemble.members):
-        acc += w * states.kron_power(member.data, k)
-    return BipartiteState(acc, m.dimA, m.dimB, k)
+    side = states.power_dim(m.pair_dim, k)  # the cap, before anything is allocated
+    if k == 1:
+        acc = 0
+        for w, member in zip(ensemble.weights, ensemble.members):
+            acc += w * member.data
+        return BipartiteState(acc, m.dimA, m.dimB, 1)
+    stack = np.stack([member.data for member in ensemble.members])
+    head = np.asarray(ensemble.weights)[:, None, None] * stack
+    mix = np.einsum("iac,ibd->abcd", head, states.kron_power(stack, k - 1)).reshape(side, side)
+    return BipartiteState(mix, m.dimA, m.dimB, k)
 
 
 # ---------------------------------------------------------------------------

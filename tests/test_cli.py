@@ -174,6 +174,24 @@ class TestScalarCommands:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert ">= " in captured.err
 
+    @pytest.mark.parametrize("verb", [["mixpow", "--ensemble", "E", "--k"],
+                                      ["ncopy", "--state", "S", "--n"],
+                                      ["tomo-pipeline", "--state", "S", "--shots", "100", "--n"]])
+    @pytest.mark.parametrize("n", ["14", "100", "99999999999999999999"])
+    def test_huge_exponent_is_capacity_error(self, capsys, tmp_path, werner_file, verb, n):
+        # the cap is checked without computing 4**n, so every n returns at once
+        ens = tmp_path / "e.json"
+        dk.save_ensemble(dk.Ensemble((1.0,), (dk.werner_state(2, 0.2),)), ens)
+        out = tmp_path / "o.json"
+        argv = [{"S": werner_file, "E": str(ens)}.get(a, a) for a in verb]
+        capsys.readouterr()  # drop the fixture's summary line
+        assert run(argv + [n, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        # tomo-pipeline names the failing stage after "error: "
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.err.endswith(f"result dimension 4**{n} exceeds cap 4096\n")
+
     @pytest.mark.parametrize("field,value", [("dimA", 2.9), ("dimB", "2"), ("pairs", True)])
     def test_non_integer_state_dimensions_are_usage_errors(self, capsys, tmp_path, field, value):
         payload = dk.states.state_to_dict(dk.werner_state(2, 0.3))

@@ -1,5 +1,6 @@
 """State families, tensor algebra, partial trace/transpose, validation, JSON I/O."""
 
+import itertools
 import json
 import warnings
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import distilkit as dk
 from distilkit import linalg
 from distilkit.errors import CapacityError, ParameterError, SamplingError
+from distilkit.states import kron_power
 
 from conftest import (
     partial_trace_reference,
@@ -117,6 +119,26 @@ class TestTensor:
         with pytest.raises(CapacityError):
             dk.tensor_power(w, 7)  # 4^7 > 4096
 
+    @pytest.mark.parametrize("n", [14, 100, 10 ** 20])
+    def test_huge_exponent_rejected_without_the_power(self, n):
+        # d**n is never computed: at n = 10**20 it would not fit in memory
+        with pytest.raises(CapacityError, match=rf"4\*\*{n} exceeds cap 4096"):
+            kron_power(np.eye(4), n)
+        with pytest.raises(CapacityError, match=rf"4\*\*{n} exceeds cap"):
+            dk.tensor_power(dk.werner_state(2, 0.5), n)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_kron_power_of_a_stack_is_the_kron_chain_of_each_slice(self, rng, d):
+        stack = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+        for n in range(1, 6):
+            out = kron_power(stack, n)
+            assert out.shape == (3, d ** n, d ** n)
+            for mat, got in zip(stack, out):
+                chain = mat
+                for _ in range(n - 1):
+                    chain = np.kron(chain, mat)
+                assert got.tobytes() == chain.tobytes()  # bit for bit
+
 
 class TestPartialTrace:
     def test_iid_marginal(self, rng):
@@ -138,6 +160,22 @@ class TestPartialTrace:
         assert np.max(np.abs(m1 - ref1)) < 1e-12
         assert np.max(np.abs(m2 - ref2)) < 1e-12
         assert np.max(np.abs(m1 - m2)) < 1e-12
+
+    @pytest.mark.parametrize("dims,pairs", [((2, 2), 1), ((2, 2), 2), ((2, 3), 2),
+                                            ((2, 2), 3), ((2, 3), 3), ((2, 2), 4)])
+    def test_every_keep_set_matches_sequential_traces(self, rng, dims, pairs):
+        # oracle: one np.trace per traced pair, last pair first
+        m = dims[0] * dims[1]
+        state = random_state(rng, *dims, pairs)
+        for r in range(1, pairs + 1):
+            for keep in itertools.combinations(range(1, pairs + 1), r):
+                full = state.data.reshape((m,) * (2 * pairs))
+                for p in sorted(set(range(1, pairs + 1)) - set(keep), reverse=True):
+                    full = np.trace(full, axis1=p - 1, axis2=p - 1 + full.ndim // 2)
+                side = m ** len(keep)
+                got = dk.partial_trace(state, set(keep))
+                assert got.pairs == len(keep)
+                assert np.max(np.abs(got.data - full.reshape(side, side))) <= 1e-15
 
     def test_trace_one_and_errors(self, rng):
         three = dk.tensor_power(random_state(rng, 2, 2), 3)

@@ -3,6 +3,7 @@ mixtures of product powers, and the product-mixture distance bound."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy import optimize
 
 import distilkit as dk
 from distilkit import linalg
-from distilkit.errors import ParameterError
+from distilkit.errors import CapacityError, ParameterError
 from distilkit.symmetry import _weight_step, all_permutations, symmetrize_matrix
 
 from conftest import explicit_twirl, random_state
@@ -301,6 +302,49 @@ class TestMixtureOfPowers:
         for keep in ({1}, {2}):
             assert np.max(np.abs(dk.partial_trace(out, keep).data - avg)) < 1e-12
         assert dk.validate_state(out.data, 2, 2, 2).ok
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_matches_explicit_kron_chains_at_every_k_within_the_cap(self, rng, dims):
+        # oracle: rows of sum_i w_i rho_i^(x k), each row the np.kron chain of the
+        # members' rows; all rows up to dimension 1296, 64 sampled rows at 4096
+        m = dims[0] * dims[1]
+        members = tuple(random_state(rng, *dims) for _ in range(3))
+        ens = dk.Ensemble((0.2, 0.3, 0.5), members)
+        k = 1
+        while m ** k <= dk.DIM_CAP:
+            out = dk.mixture_of_powers(ens, k)
+            assert (out.dimA, out.dimB, out.pairs) == (*dims, k)
+            rows = range(m ** k) if m ** k <= 1296 else rng.choice(m ** k, 64, replace=False)
+            for r in rows:
+                expect = 0
+                for w, member in zip(ens.weights, members):
+                    chain = np.ones(1)
+                    for digit in np.unravel_index(r, (m,) * k):
+                        chain = np.kron(chain, member.data[digit])
+                    expect = expect + w * chain
+                assert np.max(np.abs(out.data[r] - expect)) <= 1e-15
+            k += 1
+        assert k == {4: 7, 6: 5, 9: 4}[m]
+
+    def test_average_is_the_ordered_sum(self, rng):
+        members = tuple(random_state(rng, 2, 3) for _ in range(4))
+        w = rng.random(4)
+        ens = dk.Ensemble(tuple(w / w.sum()), members)
+        expect = 0
+        for weight, member in zip(ens.weights, members):
+            expect = expect + weight * member.data
+        assert ens.average().data.tobytes() == expect.tobytes()  # bit for bit
+
+    def test_cap_checked_before_allocation(self, rng):
+        ens = dk.Ensemble((0.5, 0.5), (random_state(rng, 2, 2), random_state(rng, 2, 2)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=r"4\*\*7 exceeds cap"):
+                dk.mixture_of_powers(ens, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_weight_validation(self, rng):
         with pytest.raises(ParameterError):
