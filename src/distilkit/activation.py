@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg, states
 from .distillability import VIOLATION_TOL, FilterPair, apply_filter_pair, filter_ratio
-from .errors import NumericalError, ParameterError
+from .errors import CapacityError, NumericalError, ParameterError
 from .states import BipartiteState, phi_projector
 
 
@@ -35,8 +35,9 @@ def _activator_dim(rho: BipartiteState, sigma: BipartiteState) -> int:
 
 
 def _merge_pairs(x: BipartiteState, y: BipartiteState) -> BipartiteState:
-    """x (x) y as one pair (Ax Ay | Bx By)."""
-    raw = np.kron(x.data, y.data)  # order Ax Bx Ay By
+    """x (x) y as one pair (Ax Ay | Bx By); the cap is checked before the product."""
+    states.power_dim(x.dim * y.dim, 1)
+    raw = states.kron(x.data, y.data)  # order Ax Bx Ay By
     mat = linalg.permute_factors(raw, (x.dimA, x.dimB, y.dimA, y.dimB), (0, 2, 1, 3))
     return BipartiteState(mat, x.dimA * y.dimA, x.dimB * y.dimB)
 
@@ -55,11 +56,8 @@ def activation_filters(d: int) -> FilterPair:
     acting as the identity on A3 (resp. B3); A A^dag = d * I."""
     if d < 2:
         raise ParameterError("need d >= 2")
-    a = np.zeros((2, 2 * d * d), dtype=complex)
-    for i in range(d):
-        for beta in range(2):
-            a[beta, i * (2 * d) + i * 2 + beta] = 1.0
-    return FilterPair(a, a.copy())
+    a = states.kron(np.eye(d).reshape(1, -1), np.eye(2))  # vec(I_d)^T (x) I_2
+    return FilterPair(a, a)
 
 
 def apply_activation(rho: BipartiteState, sigma: BipartiteState) -> tuple[np.ndarray, float]:
@@ -76,7 +74,7 @@ def _pairing_matrix(sigma: BipartiteState, z: np.ndarray) -> np.ndarray:
     d = sigma.dimA // 2
     s = sigma.data.reshape((d, 2) * 4)  # (a2, a3, b2, b3; a2', a3', b2', b3')
     m = np.einsum("ipjqkrls,rspq->ijkl", s, z.reshape(2, 2, 2, 2)).reshape(d * d, d * d)
-    return (m + m.conj().T) / 2
+    return linalg.hermitize(m)
 
 
 def target_pairing(rho: BipartiteState, sigma: BipartiteState, z: np.ndarray) -> float:
@@ -170,7 +168,7 @@ def search_activator(sigma: BipartiteState) -> ActivationSearchReport:
     rho = BipartiteState(np.outer(v, v.conj()).T, d, d)
     try:
         _, fidelity, weight = evaluate_activation(rho, sigma)
-    except NumericalError:
+    except (NumericalError, CapacityError):  # a degenerate or an over-cap merged pair
         fidelity = weight = None
     return ActivationSearchReport(rho, float(evals[0]), fidelity, weight,
                                   budget_exhausted=not evals[0] < -VIOLATION_TOL,

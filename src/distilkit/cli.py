@@ -7,7 +7,7 @@ reproduced; only the verbs that draw random numbers take ``--seed`` and
 record a ``seed``.  ``sweep`` and ``tomo-sim`` write a CSV table under a
 ``# meta:`` line; every other verb writes its full report as strict JSON.
 Exit codes: 0 success, 1 domain verdict (violation/activator found), 2 usage
-or input error, 3 numerical/capacity error.
+or input error, 3 numerical/capacity error (a MemoryError included).
 """
 
 from __future__ import annotations
@@ -283,7 +283,7 @@ def cmd_sweep(args) -> int:
         if not all(v.is_integer() and v >= 1 for v in values):
             raise ParameterError("shots must be finite positive integers")
         source = states.load_state(args.state) if args.state else _family_state(args)
-        truth = source if source.pairs == 1 else states.partial_trace(source, {1})
+        truth = states.partial_trace(source, {1})
         header = ["shots", "f_m", "chernoff", "trace_distance", "verdict"]
         for idx, shots in enumerate(values):
             dists, fms, cherns, verdicts = [], [], [], []
@@ -438,7 +438,7 @@ def run(argv=None) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DistilKitError, np.linalg.LinAlgError) as exc:
+    except (DistilKitError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (OSError, ValueError) as exc:  # unreadable or unwritable files, malformed fields

@@ -92,18 +92,14 @@ class WitnessReport:
         }
 
 
-def _cut_dims(state: BipartiteState) -> tuple[int, int]:
-    return state.dimA ** state.pairs, state.dimB ** state.pairs
-
-
 def _success_weights(rho4: np.ndarray, A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Success weights tr[(A (x) B) rho (A (x) B)^dag] of filter pairs, one or a
     stack ``(..., t, dA)``, ``(..., t, dB)``, on ``rho4`` ``(dA, dB, dA, dB)``, and
     whether each post-selection is sound: a weight not above ``DENOM_REG`` is
     degenerate.  The weight is tr[rho (A^dag A (x) B^dag B)]."""
     gram_a, gram_b = A.swapaxes(-1, -2) @ A.conj(), B.swapaxes(-1, -2) @ B.conj()  # (A^dag A)^T
-    outer = gram_a[..., :, None, :, None] * gram_b[..., None, :, None, :]
-    weight = (outer.reshape(outer.shape[:-4] + (-1,)) @ rho4.reshape(-1)).real
+    outer = states.kron(gram_a, gram_b)
+    weight = (outer.reshape(outer.shape[:-2] + (-1,)) @ rho4.reshape(-1)).real
     return weight, weight > DENOM_REG
 
 
@@ -111,15 +107,15 @@ def apply_filter_pair(state: BipartiteState, fp: FilterPair) -> tuple[np.ndarray
     """(A (x) B) rho (A (x) B)^dag across the aggregated A|B cut (unnormalized) and
     its trace, the success weight.  A weight not above ``DENOM_REG`` is a degenerate
     post-selection and raises NumericalError."""
-    dA, dB = _cut_dims(state)
+    rho4 = to_global_cut(state)
+    dA, dB = rho4.shape[:2]
     if fp.A.shape[1] != dA or fp.B.shape[1] != dB:
         raise ParameterError("filter shapes do not match the state's A|B cut")
-    rho = to_global_cut(state)
-    weight, sound = _success_weights(rho.reshape(dA, dB, dA, dB), fp.A, fp.B)
+    weight, sound = _success_weights(rho4, fp.A, fp.B)
     if not sound:
         raise NumericalError("degenerate post-selection: the filters annihilate the state")
-    op = np.kron(fp.A, fp.B)
-    return op @ rho @ linalg.dagger(op), float(weight)
+    op = states.kron(fp.A, fp.B)
+    return op @ rho4.reshape(dA * dB, -1) @ linalg.dagger(op), float(weight)
 
 
 def filter_ratio(state: BipartiteState, fp: FilterPair) -> tuple[float, float]:
@@ -160,7 +156,7 @@ def _rayleigh_step(rho4: np.ndarray, other: np.ndarray, t: int, side: str) -> tu
     batch, d_other = other.shape[:-2], other.shape[-1]
     d_loc = rearranged.shape[-1]
     n = t * d_loc
-    outer = other.conj()[..., :, None, :, None] * other[..., None, :, None, :]
+    outer = states.kron(other.conj(), other)
     scaled = (outer.reshape(-1, d_other * d_other) @ rearranged.reshape(d_other * d_other, -1)
               ).reshape(batch + (t, t, d_loc, d_loc)).swapaxes(-3, -2)  # t num[x, a, y, c]
     den = np.einsum("...xaxc->...ac", scaled)
@@ -189,8 +185,8 @@ def _fd_seesaw(
         raise ParameterError("need iters >= 1")
     if not 0 <= tol < np.inf:
         raise ParameterError("need a finite tol >= 0")
-    dA, dB = _cut_dims(state)
-    rho4 = to_global_cut(state).reshape(dA, dB, dA, dB)
+    rho4 = to_global_cut(state)
+    dA, dB = rho4.shape[:2]
     child = np.random.default_rng(seed).integers(0, 2 ** 63 - 1, size=restarts)
     gens = [np.random.default_rng(c) for c in child]
 
@@ -325,9 +321,7 @@ def _global_cut_pt(state: BipartiteState) -> np.ndarray:
     """rho^T_B on the global A|B cut as a (dA, dB, dA, dB) tensor: transposing the
     aggregated B index transposes every B factor.  The copy is C-ordered because
     einsum's summation order, and so the searches' rounding, follows the layout."""
-    dA, dB = _cut_dims(state)
-    return np.ascontiguousarray(
-        to_global_cut(state).reshape(dA, dB, dA, dB).transpose(0, 3, 2, 1))
+    return np.ascontiguousarray(to_global_cut(state).transpose(0, 3, 2, 1))
 
 
 def _subspace_step(pt4, basis, side):
@@ -362,8 +356,8 @@ def single_copy_distillable(
     """
     if budget < 1:
         raise ParameterError("need budget >= 1")
-    dA, dB = _cut_dims(state)
     pt4 = _global_cut_pt(state)
+    dA, dB = pt4.shape[:2]
 
     rng = np.random.default_rng(seed)
     best_val, best_vec, best_attempt, sweeps = np.inf, None, None, []
@@ -413,10 +407,9 @@ def is_ppt(state: BipartiteState) -> tuple[bool, float]:
 
 def evaluate_schmidt_certificate(state: BipartiteState, vector: np.ndarray) -> float:
     """Re-evaluate a Schmidt-rank-2 certificate: <psi| rho^T_B |psi> on the global cut."""
-    dA, dB = _cut_dims(state)
-    pt = _global_cut_pt(state).reshape(dA * dB, dA * dB)
+    pt4 = _global_cut_pt(state)
     v = np.asarray(vector, dtype=complex).reshape(-1)
-    return float(np.real(v.conj() @ pt @ v))
+    return float(np.real(v.conj() @ pt4.reshape(v.size, v.size) @ v))
 
 
 def schmidt_rank2_filters(vector: np.ndarray, dA: int, dB: int) -> FilterPair:
@@ -428,12 +421,12 @@ def schmidt_rank2_filters(vector: np.ndarray, dA: int, dB: int) -> FilterPair:
     """
     c = np.asarray(vector, dtype=complex).reshape(dA, dB)
     u, s, vh = np.linalg.svd(c)
-    if s.size < 2 or s[1] < 1e-14:
-        s = np.array([s[0], 0.0]) if s.size >= 1 else np.array([1.0, 0.0])
+    if s[1] < 1e-14:
+        s[1] = 0.0
     A = np.zeros((2, dA), dtype=complex)
     B = np.zeros((2, dB), dtype=complex)
     A[0, :] = np.sqrt(2.0) * s[0] * u[:, 0].conj()
-    A[1, :] = np.sqrt(2.0) * (s[1] if s.size > 1 else 0.0) * u[:, 1].conj()
+    A[1, :] = np.sqrt(2.0) * s[1] * u[:, 1].conj()
     B[1, :] = vh[0, :]
     B[0, :] = -vh[1, :]
     return FilterPair(A, B)

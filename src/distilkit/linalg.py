@@ -52,14 +52,6 @@ def permute_factors(mat: np.ndarray, dims: tuple[int, ...], perm: tuple[int, ...
     return full.transpose(axes).reshape(side, side)
 
 
-def vec(m: np.ndarray) -> np.ndarray:
-    return m.reshape(-1)
-
-
-def unvec(v: np.ndarray, n: int) -> np.ndarray:
-    return v.reshape(n, n)
-
-
 def psd_project(h: np.ndarray) -> np.ndarray:
     """Frobenius-nearest positive semidefinite matrix (eigenvalue clipping)."""
     w, v = np.linalg.eigh(hermitize(h))

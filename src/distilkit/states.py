@@ -121,12 +121,9 @@ def phi_projector(d: int) -> np.ndarray:
 
 
 def swap_operator(d: int) -> np.ndarray:
-    """Flip operator F |i j> = |j i> on C^d (x) C^d."""
-    f = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            f[j * d + i, i * d + j] = 1.0
-    return f
+    """Flip operator F |i j> = |j i> on C^d (x) C^d: the identity with its two row
+    factors swapped."""
+    return np.eye(d * d).reshape(d, d, -1).transpose(1, 0, 2).reshape(d * d, -1)
 
 
 def werner_state(d: int, p: float) -> BipartiteState:
@@ -180,6 +177,8 @@ def construct_state(spec: StateFamilySpec, seed: Optional[int] = None) -> Bipart
     fam = Family(spec.family)
     if fam in (Family.RANDOM_MIXED, Family.RANDOM_PPT) and seed is None:
         raise ParameterError(f"family {fam.value} requires a seed")
+    dB = int(params.get("dB", d)) if fam in (Family.PRODUCT_PURE, Family.RANDOM_MIXED) else d
+    power_dim(d * dB, 1)  # the cap, before anything is allocated
     rng = np.random.default_rng(seed) if seed is not None else None
 
     if fam in (Family.WERNER, Family.ISOTROPIC):
@@ -190,7 +189,6 @@ def construct_state(spec: StateFamilySpec, seed: Optional[int] = None) -> Bipart
     if fam is Family.MAX_ENTANGLED:
         return BipartiteState(phi_projector(d), d, d)
     if fam is Family.PRODUCT_PURE:
-        dB = int(params.get("dB", d))
         if rng is not None:
             a = linalg.random_pure(rng, d)
             b = linalg.random_pure(rng, dB)
@@ -203,7 +201,6 @@ def construct_state(spec: StateFamilySpec, seed: Optional[int] = None) -> Bipart
         v = np.kron(a, b)
         return BipartiteState(np.outer(v, v.conj()), d, dB)
     if fam is Family.RANDOM_MIXED:
-        dB = int(params.get("dB", d))
         return BipartiteState(linalg.random_density(rng, d * dB), d, dB)
     if fam is Family.RANDOM_PPT:
         return _random_ppt(rng, d, int(params.get("attempt_cap", PPT_ATTEMPT_CAP)))
@@ -222,19 +219,23 @@ def power_dim(d: int, n: int) -> int:
     return d ** n
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of the last two axes, broadcast over the leading axes.
+
+    Each entry is one product a[i, j] * b[k, l], as in ``np.kron``, so two
+    matrices get ``np.kron`` bit for bit."""
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+
+
 def kron_power(mat: np.ndarray, n: int) -> np.ndarray:
     """n-fold Kronecker power mat (x) ... (x) mat of each square matrix in a
     ``(..., d, d)`` stack, n >= 1; the cap is checked before anything is allocated.
-
-    Each factor is one broadcast product, entry for entry the products of
-    ``np.kron``, so a single matrix gets the ``np.kron`` chain bit for bit."""
-    d = mat.shape[-1]
-    power_dim(d, n)
-    lead = mat.shape[:-2]
+    A single matrix gets the ``np.kron`` chain bit for bit."""
+    power_dim(mat.shape[-1], n)
     out = mat
     for _ in range(n - 1):
-        side = out.shape[-1] * d
-        out = (out[..., :, None, :, None] * mat[..., None, :, None, :]).reshape(lead + (side, side))
+        out = kron(out, mat)
     return out
 
 
@@ -243,7 +244,7 @@ def tensor(a: BipartiteState, b: BipartiteState) -> BipartiteState:
     if (a.dimA, a.dimB) != (b.dimA, b.dimB):
         raise ParameterError("pair dimensions must match to concatenate pair lists")
     power_dim(a.pair_dim, a.pairs + b.pairs)
-    return BipartiteState(np.kron(a.data, b.data), a.dimA, a.dimB, a.pairs + b.pairs)
+    return BipartiteState(kron(a.data, b.data), a.dimA, a.dimB, a.pairs + b.pairs)
 
 
 def tensor_power(state: BipartiteState, n: int) -> BipartiteState:
@@ -311,11 +312,13 @@ def validate_state(data: np.ndarray, dimA: int, dimB: int, pairs: int = 1) -> St
 
 
 def to_global_cut(state: BipartiteState) -> np.ndarray:
-    """Reorder factors to (A1..Ak, B1..Bk): the matrix on C^(dA^k) (x) C^(dB^k),
-    a read-only view of ``state.data`` for one pair."""
+    """Reorder factors to (A1..Ak, B1..Bk): the operator on C^(D_A) (x) C^(D_B),
+    D_A = dimA^k, as a ``(D_A, D_B, D_A, D_B)`` tensor, a read-only view of
+    ``state.data`` for one pair."""
     k = state.pairs
     perm = tuple(2 * p for p in range(k)) + tuple(2 * p + 1 for p in range(k))
-    return linalg.permute_factors(state.data, state.factor_dims, perm)
+    cut = (state.dimA ** k, state.dimB ** k)
+    return linalg.permute_factors(state.data, state.factor_dims, perm).reshape(cut + cut)
 
 
 # ---------------------------------------------------------------------------

@@ -100,8 +100,6 @@ def _transposition_sweeps(t: np.ndarray, slots: range) -> np.ndarray:
 
 def symmetrize_matrix(mat: np.ndarray, pair_dim: int, k: int) -> np.ndarray:
     """Group average P_pi M P_pi^dag over all k! pair permutations of a raw matrix."""
-    if k == 1:
-        return np.array(mat, copy=True)
     t = np.asarray(mat, dtype=complex).reshape((pair_dim,) * (2 * k))
     return _transposition_sweeps(t, range(k)).reshape(pair_dim ** k, -1) / math.factorial(k)
 
@@ -109,8 +107,6 @@ def symmetrize_matrix(mat: np.ndarray, pair_dim: int, k: int) -> np.ndarray:
 def symmetrize(state: BipartiteState) -> BipartiteState:
     """Group average over all k! pair permutations (a unital, trace-preserving
     channel); the group sum is computed by transposition sweeps."""
-    if state.pairs == 1:
-        return state
     avg = symmetrize_matrix(state.data, state.pair_dim, state.pairs)
     return BipartiteState(avg, state.dimA, state.dimB, state.pairs)
 
@@ -122,8 +118,6 @@ def double_symmetrize(state: BipartiteState) -> BipartiteState:
     A factors followed by one over the B factors.
     """
     k = state.pairs
-    if k == 1:
-        return state
     t = state.data.reshape(state.factor_dims * 2)
     for slots in (range(0, 2 * k, 2), range(1, 2 * k, 2)):
         t = _transposition_sweeps(t, slots)
@@ -177,14 +171,14 @@ def _realignment_candidates(state: BipartiteState, limit: int) -> list[np.ndarra
     transposed, the Hermitian PSD sum_i w_i vec(rho_i) vec(rho_i)^dag: its top
     eigenvectors are the members when these are Hilbert-Schmidt orthogonal."""
     m = state.pair_dim
-    two = state if state.pairs == 2 else states.partial_trace(state, {1, 2})
+    two = states.partial_trace(state, {1, 2})
     realigned = two.data.reshape(m, m, m, m).transpose(0, 2, 3, 1).reshape(m * m, m * m)
     w, v = np.linalg.eigh(linalg.hermitize(realigned))
     out = []
     for idx in np.argsort(w)[::-1][:limit]:
         if w[idx] <= 1e-12:
             break
-        cand = linalg.unvec(v[:, idx], m)
+        cand = v[:, idx].reshape(m, m)
         tr = np.trace(cand)
         if abs(tr) > 1e-9:
             cand = cand * (tr.conjugate() / abs(tr))
@@ -213,9 +207,9 @@ def _weight_step(target: np.ndarray, powers: list[np.ndarray], w0: np.ndarray) -
     probability simplex, by accelerated projected gradient with adaptive restart
     started from ``w0``.  The projection ignores shifts along (1, ..., 1), so the
     step is 1/lambda_max of the Gram matrix restricted to sum-zero directions."""
-    stack = np.stack([linalg.vec(p) for p in powers])
+    stack = np.stack([p.reshape(-1) for p in powers])
     gram = np.real(stack.conj() @ stack.T)
-    rhs = np.real(stack.conj() @ linalg.vec(target))
+    rhs = np.real(stack.conj() @ target.reshape(-1))
     lam = np.linalg.eigvalsh(gram - gram.mean(0) - gram.mean(1)[:, None] + gram.mean())[-1]
     step = 1.0 / lam if lam > 0 else 0.0
     w = y = np.asarray(w0, dtype=float)

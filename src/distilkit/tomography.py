@@ -96,17 +96,11 @@ def minimal_ic_povm(m: int) -> Frame:
     return Frame(elements, dual_frame(elements))
 
 
-def _kron_stacks(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Stack of np.kron(x[i], y[j]), flattened as i * len(y) + j."""
-    k, m = x.shape[:2]
-    l, n = y.shape[:2]
-    prod = x[:, None, :, None, :, None] * y[None, :, None, :, None, :]
-    return prod.reshape(k * l, m * n, m * n)
-
-
 def product_frame(a: Frame, b: Frame) -> Frame:
     """Tensor-product POVM; joint outcome (i, j) is flattened as i * b.n_outcomes + j."""
-    return Frame(_kron_stacks(a.elements, b.elements), _kron_stacks(a.duals, b.duals))
+    m = a.dim * b.dim
+    return Frame(states.kron(a.elements[:, None], b.elements).reshape(-1, m, m),
+                 states.kron(a.duals[:, None], b.duals).reshape(-1, m, m))
 
 
 def local_frame(state: BipartiteState) -> Frame:
@@ -280,10 +274,7 @@ def estimation_pipeline(
     """
     if m_shots < 1:
         raise ParameterError("the pipeline needs at least one shot")
-    if isinstance(source, Ensemble):
-        marginal = source.average()
-    else:
-        marginal = source if source.pairs == 1 else states.partial_trace(source, {1})
+    marginal = source.average() if isinstance(source, Ensemble) else states.partial_trace(source, {1})
     frame = local_frame(marginal)
 
     rng = np.random.default_rng(seed)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import distilkit as dk
 from distilkit import linalg
-from distilkit.errors import NumericalError, ParameterError
+from distilkit.errors import CapacityError, NumericalError, ParameterError
 
 from conftest import random_state
 
@@ -55,7 +55,7 @@ class TestActivationFilters:
         assert fp.A.shape == (2, 8)
         assert np.max(np.abs(fp.A @ fp.A.conj().T - 2 * np.eye(2))) < 1e-12
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4])
     def test_matches_bra_phi_construction(self, d):
         # reference: A = sum_i <i|_{A1} <i|_{A2} (x) I_{A3} with index (a1, a2, a3)
         fp = dk.activation_filters(d)
@@ -63,7 +63,8 @@ class TestActivationFilters:
         for i in range(d):
             for beta in range(2):
                 ref[beta, i * (2 * d) + i * 2 + beta] = 1.0
-        assert np.array_equal(fp.A, ref)
+        for f in (fp.A, fp.B):
+            assert f.dtype == ref.dtype and f.tobytes() == ref.tobytes()
 
 
 class TestApplyActivation:
@@ -275,6 +276,32 @@ class TestPairingMatrix:
         for z in (np.eye(4), PHI2, linalg.random_density(rng, 4)):
             ref = pairing_by_matrix_units(sigma, z)
             assert np.max(np.abs(dk.activation._pairing_matrix(sigma, z) - ref)) < 1e-12
+
+
+class TestMergeCap:
+    """rho (x) sigma is one pair of dimension 4 d^4: d <= 5 fits the cap, d = 6 does not."""
+
+    @staticmethod
+    def pair(rng, d):
+        return random_state(rng, d, d), random_state(rng, 2 * d, 2 * d)
+
+    def test_cap_applies_to_the_merged_pair(self):
+        # a d = 6 target is small; only its merge with an activator passes the cap
+        assert dk.pair_product(phi_state(6), phi_state(2)).dim == 144
+
+    def test_over_cap_merge_is_a_capacity_error(self, rng):
+        rho, sigma = self.pair(rng, 6)
+        for call in (dk.apply_activation, dk.evaluate_activation, dk.jam_check):
+            with pytest.raises(CapacityError, match="5184"):
+                call(rho, sigma)
+
+    def test_search_above_the_cap_keeps_the_exact_witness(self, rng):
+        _, sigma = self.pair(rng, 6)
+        rep = dk.search_activator(sigma)
+        assert rep.fidelity is None and rep.success_weight is None
+        evals = np.linalg.eigvalsh(pairing_by_matrix_units(sigma, np.eye(4) / 2 - dk.phi_projector(2)))
+        assert abs(rep.witness - evals[0]) < 1e-12 and abs(rep.gap - (evals[1] - evals[0])) < 1e-12
+        assert abs(dk.activation_witness(rep.rho, sigma) - rep.witness) < 1e-12
 
 
 class TestSearchActivator:

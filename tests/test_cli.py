@@ -328,6 +328,24 @@ class TestScalarCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("d", ["65", "1000"])
+    def test_family_state_over_the_cap_is_capacity_error(self, capsys, tmp_path, d):
+        # d = 1000 would ask for terabytes; the cap is checked before any allocation
+        out = tmp_path / "w.json"
+        assert run(["state", "--family", "werner", "--d", d, "--p", "0.5", "--out", str(out)]) == 3
+        assert run(["sweep", "--task", "ppt", "--d", d, "--values", "0.5"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 2 and err.count("exceeds cap 4096") == 2
+        assert not out.exists()
+
+    def test_memory_error_is_numeric_error(self, capsys, monkeypatch, werner_file):
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 4.00 GiB")
+
+        monkeypatch.setattr(dk.distillability, "is_ppt", fail)
+        assert run(["ppt", "--state", werner_file]) == 3
+        assert capsys.readouterr().err == "error: Unable to allocate 4.00 GiB\n"
+
     def test_linalg_failure_is_numeric_error(self, capsys, monkeypatch, werner_file):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("eigenvalues did not converge")
@@ -607,6 +625,21 @@ class TestActivationCommands:
             payload = read_json(path)
             assert abs(payload["fidelity"] - 1.0) < 1e-12
             assert "c" not in payload
+
+    def test_activation_above_the_cap(self, capsys, tmp_path):
+        # d = 6: rho (x) sigma would be one pair of dimension 4 * 6**4 = 5184 > 4096
+        rng = np.random.default_rng(3)
+        rho, sig, out = tmp_path / "r.json", tmp_path / "s.json", tmp_path / "a.json"
+        dk.save_state(dk.construct_state(dk.StateFamilySpec(dk.Family.MAX_ENTANGLED, 6)), rho)
+        dk.save_state(dk.BipartiteState(dk.linalg.random_density(rng, 144), 12, 12), sig)
+        pair = ["--rho", str(rho), "--sigma", str(sig)]
+        assert run(["activate-check"] + pair) == 3
+        assert run(["jam-check"] + pair + ["--seed", "1"]) == 3
+        assert capsys.readouterr().err.count("exceeds cap 4096") == 2
+        code = run(["activate-search", "--sigma", str(sig), "--out", str(out)])
+        payload = read_json(out)
+        assert payload["fidelity"] is None and payload["success_weight"] is None
+        assert code == (1 if payload["witness"] < -1e-9 else 0) and payload["gap"] >= 0
 
     def test_activate_check_degenerate_postselection_is_numeric_error(self, capsys, tmp_path):
         # rho = |01><01| is orthogonal to the projection's phi_2 on A1A2 | B1B2

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import optimize
 
 import distilkit as dk
@@ -313,7 +313,7 @@ class TestRayleighStepCuts:
         """(state, rho4, the global-cut matrix as a one-pair state for filter_forms)."""
         if name == "2x2 two pairs":
             state = random_state(rng, 2, 2, pairs=2)
-            flat = dk.BipartiteState(to_global_cut(state), 4, 4)
+            flat = dk.BipartiteState(to_global_cut(state).reshape(16, 16), 4, 4)
         else:
             state = flat = random_state(rng, *map(int, name.split("x")))
         return state, flat.data.reshape(flat.dimA, flat.dimB, flat.dimA, flat.dimB), flat
@@ -368,12 +368,19 @@ class TestTwoQubitRoutes:
 
     @settings(max_examples=15, deadline=None)
     @given(seed=SEEDS)
+    @example(seed=117916)
     def test_f2_local_unitary_invariance(self, seed):
+        # the two runs agree once every restart has converged.  At 500 sweeps seed
+        # 117916 stopped three of four restarts early, 3.5e-9 apart.  5000 sweeps
+        # converge on all of seeds 0-3999 but the near-PPT draws 674, 1475, 2552
+        # and 3937, whose slowest restarts need up to ~25,000; a draw with a
+        # restart at the cap says nothing about invariance and is discarded
         rng, rho = self.draw(seed)
         u = np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
         turned = dk.BipartiteState(u @ rho.data @ u.conj().T, 2, 2)
-        values = [dk.f2(s, restarts=4, seed=seed, tol=1e-12).value for s in (rho, turned)]
-        assert abs(values[0] - values[1]) < 1e-9
+        reps = [dk.f2(s, restarts=4, iters=5000, seed=seed, tol=1e-12) for s in (rho, turned)]
+        assume(all(max(rep.iterations) < 5000 for rep in reps))
+        assert abs(reps[0].value - reps[1].value) < 1e-9
 
 
 class TestFD:

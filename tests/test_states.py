@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import distilkit as dk
 from distilkit import linalg
 from distilkit.errors import CapacityError, ParameterError, SamplingError
-from distilkit.states import kron_power
+from distilkit.states import kron, kron_power
 
 from conftest import (
     partial_trace_reference,
@@ -90,6 +91,36 @@ class TestFamilies:
         with pytest.raises(ParameterError, match="requires the weight p"):
             dk.construct_state(spec(family, d=2))
 
+    @pytest.mark.parametrize("family,params", [("werner", {"p": 0.5}), ("isotropic", {"p": 0.5}),
+                                               ("max_entangled", {}), ("product_pure", {}),
+                                               ("random_mixed", {}), ("random_ppt", {})])
+    @pytest.mark.parametrize("d", [65, 1000])
+    def test_dimension_cap_before_allocation(self, family, params, d):
+        # d = 65 gives 4225 > 4096, a state that load_state would reject; at d = 1000
+        # the family matrix alone would take terabytes
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="exceeds cap 4096"):
+                dk.construct_state(spec(family, d=d, **params), seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("family", ["product_pure", "random_mixed"])
+    def test_dimension_cap_counts_the_b_side(self, family):
+        assert dk.construct_state(spec(family, d=2, dB=3), seed=1).dim == 6
+        with pytest.raises(CapacityError, match="4098"):
+            dk.construct_state(spec(family, d=2, dB=2049), seed=1)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_swap_operator_flips_the_factors(self, d):
+        f = np.zeros((d * d, d * d))
+        for i in range(d):
+            for j in range(d):
+                f[j * d + i, i * d + j] = 1.0  # F |i j> = |j i>
+        assert dk.swap_operator(d).tobytes() == f.tobytes()
+
 
 class TestTensor:
     def test_trace_one(self, rng):
@@ -126,6 +157,20 @@ class TestTensor:
             kron_power(np.eye(4), n)
         with pytest.raises(CapacityError, match=rf"4\*\*{n} exceeds cap"):
             dk.tensor_power(dk.werner_state(2, 0.5), n)
+
+    @pytest.mark.parametrize("shapes", [((3, 3), (2, 2)), ((2, 3), (4, 1)), ((1, 4), (3, 2))])
+    def test_kron_is_np_kron_bit_for_bit(self, rng, shapes):
+        a, b = (rng.standard_normal(sh) + 1j * rng.standard_normal(sh) for sh in shapes)
+        got, ref = kron(a, b), np.kron(a, b)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    def test_kron_broadcasts_over_leading_axes(self, rng):
+        a = rng.standard_normal((3, 1, 2, 3)) + 1j * rng.standard_normal((3, 1, 2, 3))
+        b = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
+        out = kron(a, b)
+        assert out.shape == (3, 4, 6, 6)
+        for i, j in itertools.product(range(3), range(4)):
+            assert out[i, j].tobytes() == np.kron(a[i, 0], b[j]).tobytes()
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_kron_power_of_a_stack_is_the_kron_chain_of_each_slice(self, rng, d):

@@ -121,6 +121,18 @@ class TestSymmetrize:
             assert dk.trace_distance(out, conj) <= 1e-12
 
 
+class TestOnePair:
+    """One pair is one slot: every group average is the identity on it."""
+
+    def test_group_averages_return_their_input(self, rng):
+        rho = random_state(rng, 2, 3)
+        for out in (dk.symmetrize(rho), dk.double_symmetrize(rho)):
+            assert (out.dimA, out.dimB, out.pairs) == (2, 3, 1)
+            assert out.data.tobytes() == rho.data.tobytes()
+        mat = random_matrix(rng, 6, "general")
+        assert symmetrize_matrix(mat, 6, 1).tobytes() == mat.astype(complex).tobytes()
+
+
 class TestTwirlOracles:
     @pytest.mark.parametrize("pair_dim,k", [(4, 2), (4, 3), (4, 4), (9, 2), (9, 3)])
     @pytest.mark.parametrize("kind", ["psd", "hermitian", "general", "real"])
@@ -410,6 +422,16 @@ class TestBestProductMixtureDistance:
         val, _ = dk.best_product_mixture_distance(dk.tensor(rho, rho), restarts=1, iters=0,
                                                   seed=1, support=6)
         assert 0 <= val <= 1e-6
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_perturbation_rounds_lower_the_distance(self, seed):
+        # symmetrized random two-pair states are no mixture of powers, so the rounds
+        # after the weight step run; the reported distance is the ensemble's own
+        target = dk.symmetrize(random_state(np.random.default_rng(seed), 2, 2, pairs=2))
+        start, _ = dk.best_product_mixture_distance(target, restarts=1, iters=0, seed=1)
+        val, ens = dk.best_product_mixture_distance(target, restarts=1, iters=5, seed=1)
+        assert val < start - 1e-6
+        assert abs(dk.trace_distance(target, dk.mixture_of_powers(ens, 2)) - val) < 1e-12
 
 
 class TestEnsembleJson:
