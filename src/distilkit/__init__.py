@@ -38,13 +38,11 @@ from .states import (
 )
 from .symmetry import (
     Ensemble,
-    Permutation,
     best_product_mixture_distance,
     definetti_bound,
     double_symmetrize,
     load_ensemble,
     mixture_of_powers,
-    permutation_operator,
     save_ensemble,
     symmetrize,
 )

@@ -223,6 +223,7 @@ def _fd_seesaw(
     value = np.full(restarts, -np.inf)
     sweeps = np.zeros(restarts, dtype=int)
     redraws = np.zeros(restarts, dtype=int)
+    capped = np.zeros(restarts, dtype=bool)  # stopped by iters, still gaining tol or more
     active = _success_weights(rho4, A, B)[1]
 
     def redraw(i):
@@ -249,7 +250,8 @@ def _fd_seesaw(
         sweeps[idx] += 1
         done = new_val < value[idx] + tol
         value[idx] = np.where(done, np.maximum(value[idx], new_val), new_val)
-        active[idx[done | (sweeps[idx] >= iters)]] = False
+        capped[idx] = ~done & (sweeps[idx] >= iters)
+        active[idx[done | capped[idx]]] = False
 
     while active.any():
         idx = np.flatnonzero(active)
@@ -274,7 +276,7 @@ def _fd_seesaw(
         result = overlap / weight
     except NumericalError:
         result = value[best]
-    return WitnessReport(value=float(result), certificate=fp, budget_exhausted=False,
+    return WitnessReport(value=float(result), certificate=fp, budget_exhausted=bool(capped.any()),
                          seed=seed, restarts=restarts, iterations=sweeps.tolist(),
                          redraws=redraws.tolist(), best_restart=best)
 
@@ -295,6 +297,8 @@ def f2(
     each half-step together as one stack, and each stops on its own.  The
     report's ``iterations`` and ``redraws`` give each restart's sweeps and
     degenerate re-draws, and ``best_restart`` the restart that gave the value.
+    ``budget_exhausted`` is set when a restart stopped at ``iters`` sweeps while
+    still gaining ``tol`` or more, so that its value could still rise.
     """
     return _fd_seesaw(state, 2, restarts, iters, tol, seed)
 

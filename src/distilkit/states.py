@@ -61,6 +61,16 @@ class BipartiteState:
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
+    @classmethod
+    def _own(cls, arr: np.ndarray, dimA: int, dimB: int, pairs: int = 1) -> "BipartiteState":
+        """The state whose data is ``arr`` itself, made read-only: for a fresh
+        C-ordered complex (dim, dim) result that no caller keeps, in place of the
+        constructor's checks and defensive copy."""
+        arr.setflags(write=False)
+        state = object.__new__(cls)
+        state.__dict__.update(data=arr, dimA=dimA, dimB=dimB, pairs=pairs)
+        return state
+
     @property
     def pair_dim(self) -> int:
         return self.dimA * self.dimB

@@ -1,9 +1,9 @@
-"""Pair permutations, the symmetrization channel, finite de Finetti arithmetic,
+"""The pair-permutation symmetrization channels, finite de Finetti arithmetic,
 and finite-support mixtures of product powers."""
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
@@ -12,30 +12,6 @@ import numpy as np
 from . import linalg, states
 from .errors import ParameterError
 from .states import BipartiteState
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection on pair slots 1..k, stored as the image tuple (1-based)."""
-
-    k: int
-    mapping: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.mapping) != list(range(1, self.k + 1)):
-            raise ParameterError(f"mapping {self.mapping} is not a bijection on 1..{self.k}")
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.k
-        for src, dst in enumerate(self.mapping, start=1):
-            inv[dst - 1] = src
-        return Permutation(self.k, tuple(inv))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """(self . other)(j) = self(other(j))."""
-        if self.k != other.k:
-            raise ParameterError("permutation sizes differ")
-        return Permutation(self.k, tuple(self.mapping[other.mapping[j] - 1] for j in range(self.k)))
 
 
 @dataclass(frozen=True)
@@ -60,69 +36,79 @@ class Ensemble:
         return mixture_of_powers(self, 1)
 
 
-def permutation_operator(perm: Permutation, pair_dim: int) -> np.ndarray:
-    """Unitary 0/1 matrix permuting whole pairs.
+@functools.lru_cache(maxsize=8)
+def _orbit_table(dims: tuple[int, ...], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit labels of the entries of a matrix on (C^d_1 (x) ... (x) C^d_f)^(x k),
+    row-major, under S_k^f, whose copy c permutes factor c of the k slots; and
+    the orbit sizes.  Both arrays are read-only.
 
-    P |i_1 ... i_k> = |i_{perm^{-1}(1)} ... i_{perm^{-1}(k)}>, which gives the
-    homomorphism P_a P_b = P_{a.compose(b)}; it is the identity with its row
-    factors reordered by perm^{-1}.
+    Under one copy, the orbit of entry (I, J) is fixed by the multiset of the
+    slots' digit pairs q_s = i_s d + j_s.  Sorted ascending, the combinatorial
+    number system ranks it densely as sum_s C(q_s + s, s + 1), in
+    [0, C(d^2 + k - 1, k)).  The copies act independently, so an orbit of S_k^f
+    is a tuple of one-copy orbits, labelled in mixed radix.  Row blocks of about
+    2^16 entries keep the build's temporaries small.
     """
-    k = perm.k
-    size = states.power_dim(pair_dim, k)
-    rows = tuple(i - 1 for i in perm.inverse().mapping)
-    eye = np.eye(size).reshape((pair_dim,) * (2 * k))
-    return eye.transpose(rows + tuple(range(k, 2 * k))).reshape(size, size)
+    f = len(dims)
+    side = math.prod(dims) ** k
+    digits = np.array(np.unravel_index(np.arange(side), dims * k))  # (k f, side), slot-major
+    binom = [np.array([[math.comb(q + s, s + 1) for q in range(d * d)] for s in range(k)])
+             for d in dims]
+    radix = [math.comb(d * d + k - 1, k) for d in dims]
+    labels = np.empty(side * side, dtype=np.intp)
+    rows = max(1, 2 ** 16 // side)
+    for r0 in range(0, side, rows):
+        r = slice(r0, min(side, r0 + rows))
+        block = 0
+        for c, d in enumerate(dims):
+            q = np.stack([digits[s * f + c, r, None] * d + digits[s * f + c] for s in range(k)])
+            q.sort(axis=0)
+            block = block * radix[c] + sum(binom[c][s][q[s]] for s in range(k))
+        labels[r.start * side:r.stop * side] = block.reshape(-1)
+    sizes = np.bincount(labels).astype(float)
+    labels.setflags(write=False)
+    sizes.setflags(write=False)
+    return labels, sizes
 
 
-def all_permutations(k: int):
-    for tup in itertools.permutations(range(1, k + 1)):
-        yield Permutation(k, tup)
+def _orbit_average(mat: np.ndarray, dims: tuple[int, ...], k: int) -> np.ndarray:
+    """Group average of a square matrix over S_k^f (see :func:`_orbit_table`), as a
+    complex array; one slot (k = 1) returns its input.
 
-
-def _transposition_sweeps(t: np.ndarray, slots: range) -> np.ndarray:
-    """Sum of conjugations by all permutations of the factors ``slots`` of the
-    ``dims + dims`` tensor view ``t``, by the Jucys-Murphy factorisation
-    sum_{sigma in S_k} sigma = prod_{j=2}^{k} (1 + sum_{i<j} (i j)):
-    k(k-1)/2 axis swaps of a row and a column factor pair, not one gather per sigma."""
-    n = t.ndim // 2
-    for pos, j in enumerate(slots[1:], start=1):
-        views = []
-        for i in slots[:pos]:
-            axes = list(range(2 * n))
-            axes[i], axes[j], axes[n + i], axes[n + j] = j, i, n + j, n + i
-            views.append(t.transpose(axes))
-        acc = t + views[0]  # the first add allocates the level's sum: no copy of t
-        for view in views[1:]:
-            acc += view
-        t = acc
-    return t
+    (1/|G|) sum_g P_g M P_g^T takes entry (I, J) to the mean of M over the orbit
+    of (I, J), by orbit-stabiliser: two bincount sums (real and imaginary
+    parts) over the cached labels, and one gather."""
+    if k == 1:
+        return np.asarray(mat, dtype=complex)
+    labels, sizes = _orbit_table(dims, k)
+    mat = np.asarray(mat)
+    mean = np.zeros(sizes.size, dtype=complex)
+    np.divide(np.bincount(labels, mat.real.reshape(-1)), sizes, out=mean.real)
+    if np.iscomplexobj(mat):
+        np.divide(np.bincount(labels, mat.imag.reshape(-1)), sizes, out=mean.imag)
+    return mean[labels].reshape(mat.shape)
 
 
 def symmetrize_matrix(mat: np.ndarray, pair_dim: int, k: int) -> np.ndarray:
     """Group average P_pi M P_pi^dag over all k! pair permutations of a raw matrix."""
-    t = np.asarray(mat, dtype=complex).reshape((pair_dim,) * (2 * k))
-    return _transposition_sweeps(t, range(k)).reshape(pair_dim ** k, -1) / math.factorial(k)
+    return _orbit_average(mat, (pair_dim,), k)
 
 
 def symmetrize(state: BipartiteState) -> BipartiteState:
     """Group average over all k! pair permutations (a unital, trace-preserving
-    channel); the group sum is computed by transposition sweeps."""
+    channel): each entry becomes the mean of its orbit."""
     avg = symmetrize_matrix(state.data, state.pair_dim, state.pairs)
-    return BipartiteState(avg, state.dimA, state.dimB, state.pairs)
+    return BipartiteState._own(avg, state.dimA, state.dimB, state.pairs)
 
 
 def double_symmetrize(state: BipartiteState) -> BipartiteState:
     """Average over independent A-side and B-side pair permutations (k!^2 terms).
 
-    The two groups commute, so the group sum is a transposition sweep over the
-    A factors followed by one over the B factors.
+    An orbit of S_k x S_k is a pair of one-sided orbits, so its label is
+    label_A n_B + label_B and the average is again one orbit mean per entry.
     """
-    k = state.pairs
-    t = state.data.reshape(state.factor_dims * 2)
-    for slots in (range(0, 2 * k, 2), range(1, 2 * k, 2)):
-        t = _transposition_sweeps(t, slots)
-    avg = t.reshape(state.dim, state.dim) / math.factorial(k) ** 2
-    return BipartiteState(avg, state.dimA, state.dimB, k)
+    avg = _orbit_average(state.data, (state.dimA, state.dimB), state.pairs)
+    return BipartiteState._own(avg, state.dimA, state.dimB, state.pairs)
 
 
 def definetti_bound(d: int, k: int, n: int) -> float:
@@ -155,11 +141,11 @@ def mixture_of_powers(ensemble: Ensemble, k: int) -> BipartiteState:
         acc = 0
         for w, member in zip(ensemble.weights, ensemble.members):
             acc += w * member.data
-        return BipartiteState(acc, m.dimA, m.dimB, 1)
+        return BipartiteState._own(acc, m.dimA, m.dimB, 1)
     stack = np.stack([member.data for member in ensemble.members])
     head = np.asarray(ensemble.weights)[:, None, None] * stack
     mix = np.einsum("iac,ibd->abcd", head, states.kron_power(stack, k - 1)).reshape(side, side)
-    return BipartiteState(mix, m.dimA, m.dimB, k)
+    return BipartiteState._own(mix, m.dimA, m.dimB, k)
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,93 @@ algebraic routes so that library outputs are checked against code that does
 not share their implementation.
 """
 
+import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from distilkit import BipartiteState, distillability, linalg, permutation_operator
-from distilkit.errors import NumericalError
-from distilkit.states import to_global_cut
-from distilkit.symmetry import all_permutations
+from distilkit import BipartiteState, distillability, linalg
+from distilkit.errors import NumericalError, ParameterError
+from distilkit.states import power_dim, to_global_cut
+
+
+@dataclass(frozen=True)
+class Permutation:
+    """Bijection on pair slots 1..k, stored as the image tuple (1-based)."""
+
+    k: int
+    mapping: tuple[int, ...]
+
+    def __post_init__(self):
+        if sorted(self.mapping) != list(range(1, self.k + 1)):
+            raise ParameterError(f"mapping {self.mapping} is not a bijection on 1..{self.k}")
+
+    def inverse(self) -> "Permutation":
+        inv = [0] * self.k
+        for src, dst in enumerate(self.mapping, start=1):
+            inv[dst - 1] = src
+        return Permutation(self.k, tuple(inv))
+
+    def compose(self, other: "Permutation") -> "Permutation":
+        """(self . other)(j) = self(other(j))."""
+        if self.k != other.k:
+            raise ParameterError("permutation sizes differ")
+        return Permutation(self.k, tuple(self.mapping[other.mapping[j] - 1] for j in range(self.k)))
+
+
+def permutation_operator(perm: Permutation, pair_dim: int) -> np.ndarray:
+    """Unitary 0/1 matrix permuting whole pairs.
+
+    P |i_1 ... i_k> = |i_{perm^{-1}(1)} ... i_{perm^{-1}(k)}>, which gives the
+    homomorphism P_a P_b = P_{a.compose(b)}; it is the identity with its row
+    factors reordered by perm^{-1}.
+    """
+    k = perm.k
+    size = power_dim(pair_dim, k)
+    rows = tuple(i - 1 for i in perm.inverse().mapping)
+    eye = np.eye(size).reshape((pair_dim,) * (2 * k))
+    return eye.transpose(rows + tuple(range(k, 2 * k))).reshape(size, size)
+
+
+def all_permutations(k: int):
+    for tup in itertools.permutations(range(1, k + 1)):
+        yield Permutation(k, tup)
+
+
+def transposition_sweeps(t: np.ndarray, slots: range) -> np.ndarray:
+    """Sum of conjugations by all permutations of the factors ``slots`` of the
+    ``dims + dims`` tensor view ``t``, by the Jucys-Murphy factorisation
+    sum_{sigma in S_k} sigma = prod_{j=2}^{k} (1 + sum_{i<j} (i j)):
+    k(k-1)/2 axis swaps of a row and a column factor pair, not one gather per sigma."""
+    n = t.ndim // 2
+    for pos, j in enumerate(slots[1:], start=1):
+        views = []
+        for i in slots[:pos]:
+            axes = list(range(2 * n))
+            axes[i], axes[j], axes[n + i], axes[n + j] = j, i, n + j, n + i
+            views.append(t.transpose(axes))
+        acc = t + views[0]
+        for view in views[1:]:
+            acc += view
+        t = acc
+    return t
+
+
+def sweep_twirl(mat: np.ndarray, pair_dim: int, k: int) -> np.ndarray:
+    """1/k! sum_pi P_pi M P_pi^T by transposition sweeps over the pair slots."""
+    t = np.asarray(mat, dtype=complex).reshape((pair_dim,) * (2 * k))
+    return transposition_sweeps(t, range(k)).reshape(pair_dim ** k, -1) / math.factorial(k)
+
+
+def sweep_double_twirl(mat: np.ndarray, dimA: int, dimB: int, k: int) -> np.ndarray:
+    """Average over independent A-side and B-side pair permutations by one sweep
+    over the A factors and one over the B factors (the two groups commute)."""
+    t = np.asarray(mat, dtype=complex).reshape((dimA, dimB) * (2 * k))
+    for slots in (range(0, 2 * k, 2), range(1, 2 * k, 2)):
+        t = transposition_sweeps(t, slots)
+    return t.reshape(mat.shape) / math.factorial(k) ** 2
 
 
 def pt_reference(mat: np.ndarray, dimA: int, dimB: int) -> np.ndarray:
@@ -49,6 +127,30 @@ def explicit_twirl(mat: np.ndarray, pair_dim: int, k: int) -> np.ndarray:
         p = permutation_operator(perm, pair_dim)
         acc += p @ mat @ p.T
     return acc / math.factorial(k)
+
+
+PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def lorentz_f2(state: BipartiteState) -> float:
+    """Filtered singlet fraction of a 2x2 state in closed form, from its Lorentz
+    normal form (Verstraete-Dehaene-De Moor, PRA 64, 010101(R) (2001);
+    Verstraete-Verschelde, PRL 90, 097901 (2003)).
+
+    R_ij = tr[rho sigma_i (x) sigma_j]; the eigenvalues of R eta R^T eta, with
+    eta = diag(1, -1, -1, -1), are the squared Lorentz singular values
+    s_0 >= s_1 >= s_2 >= s_3.  Local filters take rho to the Bell-diagonal state
+    of correlations c_i = s_i / s_0, with c_3 carrying the sign of det R, and
+    f2 = max(1/2, its largest Bell weight (1 + e . c) / 4, e in {(+-+), (-++), (++-), (---)}).
+    """
+    basis = np.array([np.kron(a, b) for a in PAULI for b in PAULI])
+    r = np.real(np.einsum("ab,iba->i", state.data, basis)).reshape(4, 4)
+    eta = np.diag([1.0, -1.0, -1.0, -1.0])
+    s = np.sqrt(np.clip(np.sort(np.linalg.eigvals(r @ eta @ r.T @ eta).real)[::-1], 0.0, None))
+    c = s[1:] / s[0]
+    c[2] *= np.sign(np.linalg.det(r))
+    signs = np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]])
+    return max(0.5, float((1.0 + signs @ c).max()) / 4.0)
 
 
 def seesaw_reference(state: BipartiteState, t: int, restarts: int, iters: int = 500,

@@ -12,9 +12,8 @@ import pytest
 
 import distilkit as dk
 from distilkit import linalg, tomography
-from distilkit.symmetry import all_permutations
 
-from conftest import random_state
+from conftest import all_permutations, permutation_operator, random_state
 from test_tomography import pg_closest_state
 
 
@@ -78,7 +77,7 @@ def test_criterion_04_symmetrization_channel():
     with criterion(4, "symmetrization channel"):
         rng = np.random.default_rng(404)
         perms = list(all_permutations(3))
-        ops = [dk.permutation_operator(p, 4) for p in perms]
+        ops = [permutation_operator(p, 4) for p in perms]
         for _ in range(50):
             omega = random_state(rng, 2, 2, pairs=3)
             sym = dk.symmetrize(omega)

@@ -100,6 +100,17 @@ class TestStateAndVerdicts:
             assert payload["redraws"] is None
             assert capsys.readouterr().out.count("\n") == 1
 
+    def test_f2_artifact_flags_a_restart_at_the_cap(self, tmp_path):
+        # a near-PPT 2x2 draw whose slowest restarts still rise at 500 sweeps: the
+        # artifact says so, and the verdict still follows the value
+        rho = dk.linalg.random_density(np.random.default_rng(1475), 4, ancilla=8)
+        spath, out = tmp_path / "near.json", tmp_path / "f2.json"
+        dk.save_state(dk.BipartiteState(rho, 2, 2), spath)
+        assert run(["f2", "--state", str(spath), "--restarts", "4", "--seed", "1475",
+                    "--tol", "1e-12", "--out", str(out)]) == 1
+        payload = read_json(out)
+        assert payload["iterations"] == [500, 2, 500, 500] and payload["budget_exhausted"] is True
+
     def test_fd(self, tmp_path):
         spath = tmp_path / "phi.json"
         run(["state", "--family", "max_entangled", "--d", "3", "--out", str(spath)])

@@ -24,8 +24,8 @@ from distilkit.errors import ParameterError
 from distilkit.states import to_global_cut
 from distilkit.symmetry import symmetrize_matrix
 
-from conftest import (explicit_twirl, per_entry_pairs, random_state, seesaw_reference,
-                      signed_zero_matrix)
+from conftest import (Permutation, explicit_twirl, lorentz_f2, per_entry_pairs,
+                      permutation_operator, random_state, seesaw_reference, signed_zero_matrix)
 
 PHI2 = dk.phi_projector(2)
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -383,6 +383,41 @@ class TestTwoQubitRoutes:
         assert abs(reps[0].value - reps[1].value) < 1e-9
 
 
+    @settings(max_examples=15, deadline=None)
+    @given(seed=SEEDS)
+    @example(seed=1475)
+    @example(seed=2552)
+    def test_f2_never_exceeds_the_lorentz_closed_form(self, seed):
+        # the see-saw value is attained by filters, so it is a lower bound on f2
+        _, rho = self.draw(seed)
+        assert dk.f2(rho, restarts=4, seed=seed, tol=1e-12).value <= lorentz_f2(rho) + 1e-9
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=SEEDS)
+    def test_f2_reaches_the_lorentz_closed_form(self, seed):
+        _, rho = self.draw(seed)
+        assume(abs(np.linalg.eigvalsh(dk.partial_transpose(rho))[0]) > 1e-3)
+        assert abs(dk.f2(rho, restarts=4, seed=seed, tol=1e-12).value - lorentz_f2(rho)) < 1e-9
+
+    def test_budget_flag_marks_a_restart_stopped_at_the_cap(self):
+        # draw 1475 is near-PPT (least PT eigenvalue -1.7e-5): three restarts are
+        # still rising at 500 sweeps and need up to ~25,000 to converge
+        _, rho = self.draw(1475)
+        rep = dk.f2(rho, restarts=4, seed=1475, tol=1e-12)
+        assert rep.iterations == [500, 2, 500, 500]
+        assert rep.budget_exhausted and rep.to_dict()["budget_exhausted"] is True
+        assert 0.5 < rep.value <= lorentz_f2(rho) + 1e-12
+
+    def test_budget_flag_clear_when_the_last_sweep_converges(self):
+        # draw 7 converges in [9, 2, 10, 10] sweeps: a restart that stops on the
+        # tol test at the cap is not flagged; one sweep less leaves two still rising
+        _, rho = self.draw(7)
+        for iters, flagged in ((500, False), (10, False), (9, True)):
+            rep = dk.f2(rho, restarts=4, iters=iters, seed=7, tol=1e-12)
+            assert rep.iterations == [min(n, iters) for n in (9, 2, 10, 10)]
+            assert rep.budget_exhausted is flagged
+
+
 class TestFD:
     def test_phi_d_any_lambda(self):
         rep = dk.fD(phi_state(3), 3, restarts=6, seed=2)
@@ -542,7 +577,7 @@ class TestSymmetricDualPositive:
 
     def test_antisymmetric_part_annihilated(self, rng):
         x = linalg.random_hermitian(rng, 16)
-        swap = dk.permutation_operator(dk.Permutation(2, (2, 1)), 4)
+        swap = permutation_operator(Permutation(2, (2, 1)), 4)
         q = x - swap @ x @ swap.T
         flag, lo = dk.symmetric_dual_positive(q, 2, 2, 2)
         assert flag
@@ -571,7 +606,7 @@ class TestSymmetricDualPositive:
         rng = np.random.default_rng(seed)
         n = 4 ** pairs
         x = linalg.random_hermitian(rng, n)
-        p = dk.permutation_operator(dk.Permutation(pairs, (2, 1) + tuple(range(3, pairs + 1))), 4)
+        p = permutation_operator(Permutation(pairs, (2, 1) + tuple(range(3, pairs + 1))), 4)
         q = linalg.random_density(rng, n) * n + 5.0 * (x - p @ x @ p.T)
         assert np.linalg.eigvalsh(q)[0] < 0
         flag, lo = dk.symmetric_dual_positive(q, 2, 2, pairs)

@@ -13,9 +13,10 @@ from scipy import optimize
 import distilkit as dk
 from distilkit import linalg
 from distilkit.errors import CapacityError, ParameterError
-from distilkit.symmetry import _weight_step, all_permutations, symmetrize_matrix
+from distilkit.symmetry import _orbit_table, _weight_step, symmetrize_matrix
 
-from conftest import explicit_twirl, random_state
+from conftest import (Permutation, all_permutations, explicit_twirl, permutation_operator,
+                      random_state, sweep_double_twirl, sweep_twirl)
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
@@ -47,24 +48,24 @@ def explicit_double_twirl(mat, dimA, dimB, k):
 
 
 def perm(k, *mapping):
-    return dk.Permutation(k, tuple(mapping))
+    return Permutation(k, tuple(mapping))
 
 
 class TestPermutationOperator:
     def test_identity(self):
-        p = dk.permutation_operator(perm(2, 1, 2), 4)
+        p = permutation_operator(perm(2, 1, 2), 4)
         assert np.array_equal(p, np.eye(16))
 
     def test_swap_exchanges_factors(self, rng):
         a, b = random_state(rng, 2, 2), random_state(rng, 2, 2)
-        p = dk.permutation_operator(perm(2, 2, 1), 4)
+        p = permutation_operator(perm(2, 2, 1), 4)
         lhs = p @ np.kron(a.data, b.data) @ p.T
         assert np.max(np.abs(lhs - np.kron(b.data, a.data))) < 1e-12
 
     def test_three_cycle_structure(self):
         # oracle: construct the operator by mapping basis kets one at a time
         cyc = perm(3, 2, 3, 1)  # 1 -> 2 -> 3 -> 1
-        p = dk.permutation_operator(cyc, 4)
+        p = permutation_operator(cyc, 4)
         assert np.array_equal(np.sort(p, axis=1)[:, :-1], np.zeros((64, 63)))
         assert np.all(p.sum(axis=0) == 1) and np.all(p.sum(axis=1) == 1)
         ref = np.zeros((64, 64))
@@ -80,8 +81,8 @@ class TestPermutationOperator:
         perms = list(all_permutations(k))
         for _ in range(5):
             pa, pb = perms[rng.integers(len(perms))], perms[rng.integers(len(perms))]
-            lhs = dk.permutation_operator(pa, 2) @ dk.permutation_operator(pb, 2)
-            rhs = dk.permutation_operator(pa.compose(pb), 2)
+            lhs = permutation_operator(pa, 2) @ permutation_operator(pb, 2)
+            rhs = permutation_operator(pa.compose(pb), 2)
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_bad_mapping_rejected(self):
@@ -116,7 +117,7 @@ class TestSymmetrize:
         assert abs(np.trace(out.data).real - 1.0) < 1e-12
         assert np.linalg.eigvalsh(out.data)[0] >= -1e-9
         for p in all_permutations(3):
-            u = dk.permutation_operator(p, 4)
+            u = permutation_operator(p, 4)
             conj = dk.BipartiteState(u @ out.data @ u.T, 2, 2, 3)
             assert dk.trace_distance(out, conj) <= 1e-12
 
@@ -167,6 +168,71 @@ class TestTwirlOracles:
         expect = explicit_twirl(np.outer(v[:, 0], v[:, 0].conj()), 4, k)
         out = dk.negative_symmetric_witness(q, 2, 2, k)
         assert np.max(np.abs(out.data - expect)) < 1e-12
+
+
+def swap_factors(mat, dims, i, j):
+    """Conjugation of ``mat`` by the swap of tensor factors i and j."""
+    order = list(range(len(dims)))
+    order[i], order[j] = j, i
+    return linalg.permute_factors(mat, dims, tuple(order))
+
+
+class TestOrbitSums:
+    """The orbit-mean averages against the Jucys-Murphy transposition sweeps, a
+    route that sums the group by k(k-1)/2 axis swaps and shares no code with them."""
+
+    @pytest.mark.parametrize("pair_dim,k", [(4, 5), (6, 3)])
+    @pytest.mark.parametrize("kind", ["general", "hermitian", "real"])
+    def test_symmetrize_matrix_matches_the_sweeps(self, rng, pair_dim, k, kind):
+        mat = random_matrix(rng, pair_dim ** k, kind)
+        out = symmetrize_matrix(mat, pair_dim, k)
+        assert out.dtype == complex and out.shape == mat.shape
+        assert np.max(np.abs(out - sweep_twirl(mat, pair_dim, k))) < 1e-12
+        for j in range(k - 1):  # adjacent transpositions generate S_k
+            assert np.array_equal(swap_factors(out, (pair_dim,) * k, j, j + 1), out)
+
+    @pytest.mark.parametrize("dimA,dimB,k", [(2, 2, 4), (2, 3, 3)])
+    def test_double_symmetrize_matches_the_sweeps(self, rng, dimA, dimB, k):
+        omega = random_state(rng, dimA, dimB, pairs=k)
+        out = dk.double_symmetrize(omega).data
+        assert np.max(np.abs(out - sweep_double_twirl(omega.data, dimA, dimB, k))) < 1e-12
+        dims = (dimA, dimB) * k
+        for j in range(k - 1):
+            for side in (0, 1):  # A-only, then B-only
+                assert np.array_equal(swap_factors(out, dims, 2 * j + side, 2 * j + 2 + side), out)
+
+    @pytest.mark.parametrize("dims,k", [((4,), 3), ((3,), 4), ((2, 3), 3)])
+    def test_labels_are_dense_orbits(self, dims, k):
+        # one label per multiset of digit pairs per factor, each orbit of size
+        # k! / prod(multiplicities!) per factor
+        labels, sizes = _orbit_table(dims, k)
+        assert sizes.size == math.prod(math.comb(d * d + k - 1, k) for d in dims)
+        assert labels.min() == 0 and sizes.min() >= 1 and sizes.sum() == labels.size
+        assert sizes.max() == math.factorial(k) ** len(dims)
+        assert _orbit_table(dims, k)[0] is labels and not labels.flags.writeable
+
+
+class TestOwnership:
+    """Library results own their fresh arrays; the public constructor copies."""
+
+    def test_owned_results_are_read_only(self, rng):
+        rho = random_state(rng, 2, 2, pairs=2)
+        ens = dk.Ensemble((0.4, 0.6), (random_state(rng, 2, 2), random_state(rng, 2, 2)))
+        for out in (dk.symmetrize(rho), dk.double_symmetrize(rho), ens.average(),
+                    dk.mixture_of_powers(ens, 3)):
+            assert out.data.dtype == complex and out.data.flags.c_contiguous
+            assert not out.data.flags.writeable
+            with pytest.raises(ValueError):
+                out.data[0, 0] = 1.0
+
+    def test_public_constructor_copies(self, rng):
+        mat = random_state(rng, 2, 2).data.copy()
+        state = dk.BipartiteState(mat, 2, 2)
+        assert not np.shares_memory(state.data, mat) and mat.flags.writeable
+        owned = dk.symmetrize(random_state(rng, 2, 2, pairs=2))
+        again = dk.BipartiteState(owned.data, 2, 2, 2)
+        assert not np.shares_memory(again.data, owned.data)
+        assert again.data.tobytes() == owned.data.tobytes()
 
 
 class TestDoubleSymmetrize:
