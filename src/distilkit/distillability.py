@@ -440,6 +440,20 @@ def schmidt_rank2_filters(vector: np.ndarray, dA: int, dB: int) -> FilterPair:
 # Dual-cone utilities
 # ---------------------------------------------------------------------------
 
+def _symmetrized_dual(q: np.ndarray, dimA: int, dimB: int, pairs: int) -> np.ndarray:
+    """The pair symmetrization S(Q), after the checks both dual-cone utilities
+    share: positive integer dimensions and pair count, Q of shape
+    ((dimA dimB)^pairs,)*2 (checked by ``symmetrize_matrix``), and Q Hermitian
+    to 1e-9."""
+    if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+               for n in (dimA, dimB, pairs)):
+        raise ParameterError("dimA, dimB and pairs must be positive integers")
+    sq = symmetry.symmetrize_matrix(q, dimA * dimB, pairs)
+    if linalg.herm_residual(np.asarray(q)) > 1e-9:
+        raise ParameterError("Q must be Hermitian")
+    return sq
+
+
 def symmetric_dual_positive(
     q: np.ndarray,
     dimA: int,
@@ -451,25 +465,17 @@ def symmetric_dual_positive(
     A True verdict means tr[Q omega] >= 0 for every permutation-symmetric
     state omega, since tr[Q omega] = tr[S(Q) omega] for the symmetrization S.
     """
-    pair_dim = dimA * dimB
-    if q.shape != (pair_dim ** pairs,) * 2:
-        raise ParameterError("Q shape does not match the pair structure")
-    if linalg.herm_residual(q) > 1e-9:
-        raise ParameterError("Q must be Hermitian")
-    sq = symmetry.symmetrize_matrix(q, pair_dim, pairs)
-    lo = linalg.min_eig(sq)
+    lo = linalg.min_eig(_symmetrized_dual(q, dimA, dimB, pairs))
     return lo >= -states.STATE_TOL, float(lo)
 
 
 def negative_symmetric_witness(q: np.ndarray, dimA: int, dimB: int, pairs: int) -> BipartiteState:
     """Symmetric state with tr[Q omega] < 0 when the symmetrized Q is not PSD."""
-    pair_dim = dimA * dimB
-    sq = symmetry.symmetrize_matrix(q, pair_dim, pairs)
-    w, v = np.linalg.eigh(linalg.hermitize(sq))
+    w, v = np.linalg.eigh(linalg.hermitize(_symmetrized_dual(q, dimA, dimB, pairs)))
     if w[0] >= -states.STATE_TOL:
         raise ParameterError("symmetrized Q is positive, no witness exists")
     proj = np.outer(v[:, 0], v[:, 0].conj())
-    return BipartiteState(symmetry.symmetrize_matrix(proj, pair_dim, pairs),
+    return BipartiteState(symmetry.symmetrize_matrix(proj, dimA * dimB, pairs),
                           dimA, dimB, pairs)
 
 

@@ -73,12 +73,12 @@ def _orbit_table(dims: tuple[int, ...], k: int) -> tuple[np.ndarray, np.ndarray]
 
 def _orbit_average(mat: np.ndarray, dims: tuple[int, ...], k: int) -> np.ndarray:
     """Group average of a square matrix over S_k^f (see :func:`_orbit_table`), as a
-    complex array; one slot (k = 1) returns its input.
+    complex array; one slot (k = 1), or slots of dimension 1, return the input.
 
     (1/|G|) sum_g P_g M P_g^T takes entry (I, J) to the mean of M over the orbit
     of (I, J), by orbit-stabiliser: two bincount sums (real and imaginary
     parts) over the cached labels, and one gather."""
-    if k == 1:
+    if k == 1 or math.prod(dims) == 1:
         return np.asarray(mat, dtype=complex)
     labels, sizes = _orbit_table(dims, k)
     mat = np.asarray(mat)
@@ -90,7 +90,13 @@ def _orbit_average(mat: np.ndarray, dims: tuple[int, ...], k: int) -> np.ndarray
 
 
 def symmetrize_matrix(mat: np.ndarray, pair_dim: int, k: int) -> np.ndarray:
-    """Group average P_pi M P_pi^dag over all k! pair permutations of a raw matrix."""
+    """Group average P_pi M P_pi^dag over all k! pair permutations of a raw
+    (pair_dim^k, pair_dim^k) matrix."""
+    if pair_dim < 1 or k < 1:
+        raise ParameterError("need pair_dim >= 1 and k >= 1")
+    mat = np.asarray(mat)
+    if mat.shape != (states.power_dim(pair_dim, k),) * 2:
+        raise ParameterError(f"matrix shape {mat.shape} does not match pair_dim**k = {pair_dim}**{k}")
     return _orbit_average(mat, (pair_dim,), k)
 
 
@@ -131,10 +137,13 @@ def mixture_of_powers(ensemble: Ensemble, k: int) -> BipartiteState:
     """sum_i w_i rho_i^(x k): a permutation-symmetric extension whose every
     single-pair marginal equals the ensemble average.
 
-    For k >= 2 it is one contraction over the members, by
-    sum_i w_i rho_i^(x k) = sum_i (w_i rho_i) (x) rho_i^(x (k-1)), whose
-    innermost loop runs along a row of the (k-1)-fold power; k = 1 is the
-    ordered sum 0 + w_0 rho_0 + w_1 rho_1 + ...."""
+    For k >= 2 it is one matrix product over the member axis i, by
+    mix[(a b), (c d)] = sum_i (w_i rho_i)[a, c] (rho_i^(x (k-1)))[b, d]:
+    the weighted members as (a, 1, c, i) times the (k-1)-fold powers as
+    (1, b, i, d) broadcast to (a, b, c, d), which is already the row-major
+    layout of the k-pair matrix, so it reshapes without a transposed copy and
+    no weighted k-pair temporary is formed.  k = 1 is the ordered sum
+    0 + w_0 rho_0 + w_1 rho_1 + ...."""
     m = ensemble.members[0]
     side = states.power_dim(m.pair_dim, k)  # the cap, before anything is allocated
     if k == 1:
@@ -144,8 +153,9 @@ def mixture_of_powers(ensemble: Ensemble, k: int) -> BipartiteState:
         return BipartiteState._own(acc, m.dimA, m.dimB, 1)
     stack = np.stack([member.data for member in ensemble.members])
     head = np.asarray(ensemble.weights)[:, None, None] * stack
-    mix = np.einsum("iac,ibd->abcd", head, states.kron_power(stack, k - 1)).reshape(side, side)
-    return BipartiteState._own(mix, m.dimA, m.dimB, k)
+    rest = states.kron_power(stack, k - 1)
+    mix = np.matmul(head.transpose(1, 2, 0)[:, None], rest.transpose(1, 0, 2)[None])
+    return BipartiteState._own(mix.reshape(side, side), m.dimA, m.dimB, k)
 
 
 # ---------------------------------------------------------------------------

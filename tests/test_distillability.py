@@ -622,6 +622,42 @@ class TestSymmetricDualPositive:
         assert flag1 == flag2
 
 
+DUAL_UTILITIES = [dk.symmetric_dual_positive, dk.negative_symmetric_witness]
+
+
+class TestDualInputs:
+    """Both dual-cone utilities share one input check, which raises ParameterError."""
+
+    @pytest.mark.parametrize("fn", DUAL_UTILITIES)
+    def test_shape_mismatch_rejected(self, fn):
+        with pytest.raises(ParameterError, match="shape"):
+            fn(-np.eye(20), 2, 2, 2)
+
+    @pytest.mark.parametrize("fn", DUAL_UTILITIES)
+    def test_non_hermitian_rejected(self, rng, fn):
+        q = linalg.random_hermitian(rng, 16) - np.eye(16)
+        q[0, 1] += 1e-6
+        with pytest.raises(ParameterError, match="Hermitian"):
+            fn(q, 2, 2, 2)
+
+    @pytest.mark.parametrize("fn", DUAL_UTILITIES)
+    def test_zero_pairs_rejected(self, fn):
+        with pytest.raises(ParameterError, match="positive integers"):
+            fn(-np.eye(1), 2, 2, 0)
+
+    @pytest.mark.parametrize("fn", DUAL_UTILITIES)
+    def test_negative_pairs_rejected(self, fn):
+        with pytest.raises(ParameterError, match="positive integers"):
+            fn(-np.eye(16), 2, 2, -1)
+
+    @pytest.mark.parametrize("fn", DUAL_UTILITIES)
+    @pytest.mark.parametrize("dims", [(-2, -2, 1), (0, 4, 1), (2.0, 2, 1), (True, 4, 1)])
+    def test_dimensions_must_be_positive_integers(self, fn, dims):
+        # (-2) (-2) = 4 matches the shape of a 4x4 Q, and used to pass
+        with pytest.raises(ParameterError, match="positive integers"):
+            fn(-np.eye(4), *dims)
+
+
 class TestWitnessPairing:
     def test_identity(self, rng):
         s = random_state(rng, 2, 2)

@@ -134,6 +134,23 @@ class TestOnePair:
         assert symmetrize_matrix(mat, 6, 1).tobytes() == mat.astype(complex).tobytes()
 
 
+class TestSymmetrizeMatrixInputs:
+    @pytest.mark.parametrize("pair_dim,k", [(4, 0), (4, -1), (0, 2), (-4, 2)])
+    def test_nonpositive_pair_dim_or_k_rejected(self, pair_dim, k):
+        with pytest.raises(ParameterError, match="k >= 1"):
+            symmetrize_matrix(np.eye(16), pair_dim, k)
+
+    @pytest.mark.parametrize("shape", [(16, 16), (64, 16), (64,), (8, 8, 1)])
+    def test_shape_must_be_the_k_pair_square(self, shape):
+        with pytest.raises(ParameterError, match="does not match"):
+            symmetrize_matrix(np.zeros(shape), 4, 3)
+
+    @pytest.mark.parametrize("k", [2, 100, 10 ** 20])
+    def test_slots_of_dimension_one_return_their_input(self, k):
+        # the group acts trivially; no orbit table of k slots is built
+        assert symmetrize_matrix(np.array([[-2.0]]), 1, k).tolist() == [[-2.0 + 0j]]
+
+
 class TestTwirlOracles:
     @pytest.mark.parametrize("pair_dim,k", [(4, 2), (4, 3), (4, 4), (9, 2), (9, 3)])
     @pytest.mark.parametrize("kind", ["psd", "hermitian", "general", "real"])
@@ -403,6 +420,53 @@ class TestMixtureOfPowers:
                 assert np.max(np.abs(out.data[r] - expect)) <= 1e-15
             k += 1
         assert k == {4: 7, 6: 5, 9: 4}[m]
+
+    @pytest.mark.parametrize("n", [1, 12])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_member_axis_product_matches_summed_kron_powers(self, rng, n, k):
+        # oracle: sum_i w_i rho_i^(x k) by np.kron chains of complex 2x3 members
+        members = tuple(random_state(rng, 2, 3) for _ in range(n))
+        ens = dk.Ensemble(tuple(rng.dirichlet(np.ones(n))), members)
+        expect = 0
+        for w, member in zip(ens.weights, members):
+            power = member.data
+            for _ in range(k - 1):
+                power = np.kron(power, member.data)
+            expect = expect + w * power
+        out = dk.mixture_of_powers(ens, k)
+        assert (out.dimA, out.dimB, out.pairs) == (2, 3, k)
+        assert np.max(np.abs(out.data - expect)) <= 1e-15
+
+    def test_every_one_pair_marginal_is_the_average(self, rng):
+        members = tuple(random_state(rng, 2, 2) for _ in range(4))
+        ens = dk.Ensemble((0.1, 0.2, 0.3, 0.4), members)
+        out = dk.mixture_of_powers(ens, 5)
+        avg = ens.average().data
+        for j in range(1, 6):
+            assert np.max(np.abs(dk.partial_trace(out, {j}).data - avg)) <= 1e-12
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_result_is_complex_c_ordered_and_read_only(self, rng, k):
+        ens = dk.Ensemble((0.5, 0.5), (random_state(rng, 2, 2), random_state(rng, 2, 2)))
+        data = dk.mixture_of_powers(ens, k).data
+        assert data.dtype == complex and data.shape == (4 ** k, 4 ** k)
+        assert data.flags.c_contiguous and not data.flags.writeable
+
+    def test_no_transposed_copy_at_k5(self, rng):
+        # the product lands in the k-pair layout: the traced peak is the output
+        # plus the stacked (k-1)-fold powers, with 1 MB to spare
+        n, k = 3, 5
+        ens = dk.Ensemble((0.2, 0.3, 0.5), tuple(random_state(rng, 2, 2) for _ in range(n)))
+        output = 16 * 4 ** (2 * k)
+        rest = 16 * n * 4 ** (2 * (k - 1))
+        tracemalloc.start()
+        try:
+            out = dk.mixture_of_powers(ens, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.data.nbytes == output
+        assert peak <= output + rest + 2 ** 20
 
     def test_average_is_the_ordered_sum(self, rng):
         members = tuple(random_state(rng, 2, 3) for _ in range(4))
