@@ -58,7 +58,6 @@ from .distillability import (
     schmidt_rank2_filters,
     single_copy_distillable,
     symmetric_dual_positive,
-    witness_pairing,
 )
 from .tomography import (
     ChernoffBound,
@@ -80,7 +79,6 @@ from .activation import (
     activation_witness,
     apply_activation,
     evaluate_activation,
-    jam_check,
     pair_product,
     search_activator,
 )

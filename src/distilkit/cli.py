@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 
 import numpy as np
@@ -224,35 +223,10 @@ def cmd_activate_search(args) -> int:
     return EXIT_VERDICT if found else EXIT_OK
 
 
-def cmd_jam_check(args) -> int:
-    rho = states.load_state(args.rho)
-    sigma = states.load_state(args.sigma)
-    c, dev = activation.jam_check(rho, sigma, trials=args.trials, seed=args.seed)
-    _write_json(args, {"c": c, "max_deviation": dev})
-    ok = dev <= 1e-9
-    print(f"c={_fmt(c)} max_deviation={dev:.3e} ok={ok}")
-    return EXIT_OK if ok else EXIT_NUMERIC
-
-
 def _sweep_values(args) -> list[float]:
-    if args.values:
-        vals = [float(v) for v in args.values.split(",") if v.strip()]
-        if not vals:
-            raise ParameterError("sweep needs >= 1 value, got none")
-        return vals
-    if args.start is None or args.stop is None or args.step is None:
-        raise ParameterError("sweep needs --values or --start/--stop/--step")
-    if not all(map(math.isfinite, (args.start, args.stop, args.step))):
-        raise ParameterError("sweep bounds and step must be finite")
-    if args.step <= 0 or args.stop < args.start:
-        raise ParameterError("empty sweep range")
-    vals = []
-    v = args.start
-    while v <= args.stop + 1e-12:
-        vals.append(round(v, 12))
-        if v + args.step == v:
-            raise ParameterError(f"step {args.step!r} does not advance the sweep value {v!r}")
-        v += args.step
+    vals = [float(v) for v in args.values.split(",") if v.strip()]
+    if not vals:
+        raise ParameterError("sweep needs >= 1 value, got none")
     return vals
 
 
@@ -402,17 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     # ignored: the search is exact; perfbench/test_checks.py is the only caller still passing it
     p.add_argument("--budget", help=argparse.SUPPRESS)
 
-    p = add("jam-check", cmd_jam_check, help="induced-map proportionality identity check")
-    p.add_argument("--rho", required=True)
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--trials", type=int, default=20)
-
     p = add("sweep", cmd_sweep, help="parameter sweep emitting a CSV table")
     p.add_argument("--task", required=True, choices=["f2", "ppt", "tomo-pipeline"])
-    p.add_argument("--values", default=None, help="comma-separated values")
-    p.add_argument("--start", type=float, default=None)
-    p.add_argument("--stop", type=float, default=None)
-    p.add_argument("--step", type=float, default=None)
+    p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--family", default="werner")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--p", type=float, default=None)

@@ -478,10 +478,3 @@ def negative_symmetric_witness(q: np.ndarray, dimA: int, dimB: int, pairs: int) 
     return BipartiteState(symmetry.symmetrize_matrix(proj, dimA * dimB, pairs),
                           dimA, dimB, pairs)
 
-
-def witness_pairing(x: np.ndarray, state: BipartiteState) -> float:
-    """tr[X rho], linear in both arguments."""
-    if x.shape != state.data.shape:
-        raise ParameterError("witness and state dimensions differ")
-    return float(np.real(np.trace(x @ state.data)))
-

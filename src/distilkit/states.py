@@ -65,7 +65,9 @@ class BipartiteState:
     def _own(cls, arr: np.ndarray, dimA: int, dimB: int, pairs: int = 1) -> "BipartiteState":
         """The state whose data is ``arr`` itself, made read-only: for a fresh
         C-ordered complex (dim, dim) result that no caller keeps, in place of the
-        constructor's checks and defensive copy."""
+        constructor's checks and defensive copy.  ``arr`` may also be another
+        state's read-only data, which is then shared: ``tensor_power`` at n = 1
+        returns its input's buffer."""
         arr.setflags(write=False)
         state = object.__new__(cls)
         state.__dict__.update(data=arr, dimA=dimA, dimB=dimB, pairs=pairs)
@@ -259,7 +261,7 @@ def tensor(a: BipartiteState, b: BipartiteState) -> BipartiteState:
 
 def tensor_power(state: BipartiteState, n: int) -> BipartiteState:
     """n-fold tensor power; pair counts multiply."""
-    return BipartiteState(kron_power(state.data, n), state.dimA, state.dimB, state.pairs * n)
+    return BipartiteState._own(kron_power(state.data, n), state.dimA, state.dimB, state.pairs * n)
 
 
 def partial_trace(state: BipartiteState, keep: set[int]) -> BipartiteState:

@@ -82,9 +82,12 @@ def dual_frame(elements: np.ndarray) -> np.ndarray:
 def minimal_ic_povm(m: int) -> Frame:
     """Minimal IC-POVM from the rank-1 family |e_j>, (|e_j>+|e_k>)/sqrt2,
     (|e_j>+i|e_k>)/sqrt2 (j<k), rescaled into a resolution of the identity
-    by S^(-1/2) . S^(-1/2) where S >= I is the family sum."""
+    by S^(-1/2) . S^(-1/2) where S >= I is the family sum.  The m^2 x m^2
+    measurement matrix that ``dual_frame`` inverts is capped before anything
+    is allocated."""
     if m < 2:
         raise ParameterError("need dimension m >= 2")
+    states.power_dim(m, 2)
     eye = np.eye(m, dtype=complex)
     j, k = np.triu_indices(m, 1)
     pairs = np.stack([eye[j] + eye[k], eye[j] + 1j * eye[k]], axis=1) / np.sqrt(2)
@@ -97,8 +100,10 @@ def minimal_ic_povm(m: int) -> Frame:
 
 
 def product_frame(a: Frame, b: Frame) -> Frame:
-    """Tensor-product POVM; joint outcome (i, j) is flattened as i * b.n_outcomes + j."""
+    """Tensor-product POVM; joint outcome (i, j) is flattened as i * b.n_outcomes + j.
+    As for a minimal frame, m^2 with m = a.dim * b.dim is capped before the stacks exist."""
     m = a.dim * b.dim
+    states.power_dim(m, 2)
     return Frame(states.kron(a.elements[:, None], b.elements).reshape(-1, m, m),
                  states.kron(a.duals[:, None], b.duals).reshape(-1, m, m))
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from distilkit import BipartiteState, distillability, linalg
+from distilkit import BipartiteState, activation, distillability, linalg
 from distilkit.errors import NumericalError, ParameterError
 from distilkit.states import power_dim, to_global_cut
 
@@ -211,6 +211,38 @@ def seesaw_reference(state: BipartiteState, t: int, restarts: int, iters: int = 
     overlap, weight = distillability.filter_ratio(state, distillability.FilterPair(*filters[best]))
     return {"value": overlap / weight, "best_restart": best, "values": values,
             "iterations": sweeps, "redraws": redraws}
+
+
+def pairing_by_matrix_units(sigma: BipartiteState, z: np.ndarray) -> np.ndarray:
+    """M with tr[sigma (rho^T (x) z)] = tr[rho^T M], entry by entry: M[b, a] is the
+    pairing of the matrix unit |a><b| (x) z, woven into A2 A3 B2 B3 by kron."""
+    d = sigma.dimA // 2
+    m = np.zeros((d * d, d * d), dtype=complex)
+    for a, b in itertools.product(range(d * d), repeat=2):
+        unit = np.zeros((d * d, d * d))
+        unit[a, b] = 1.0
+        op = linalg.permute_factors(np.kron(unit, z), (d, d, 2, 2), (0, 2, 1, 3))
+        m[b, a] = np.trace(sigma.data @ op)
+    return m
+
+
+def jam_check(rho: BipartiteState, sigma: BipartiteState, trials: int = 20,
+              seed: int | None = None) -> tuple[float, float]:
+    """Induced-map proportionality tr[out Z] = c tr[sigma (rho^T (x) Z)] over random
+    positive Z, with ``out`` the library's filtered output and the right side paired
+    by matrix units; returns (c, largest relative deviation across Z)."""
+    rng = np.random.default_rng(seed)
+    out, _ = activation.apply_activation(rho, sigma)
+    ratios = []
+    for _ in range(trials):
+        z = linalg.random_density(rng, 4) * (1.0 + 3.0 * rng.random())
+        den = np.trace(rho.data.T @ pairing_by_matrix_units(sigma, z)).real
+        if abs(den) >= 1e-14:
+            ratios.append(np.trace(out @ z).real / den)
+    if not ratios:
+        raise NumericalError("all probe operators were degenerate")
+    c = float(np.mean(ratios))
+    return c, float(max(abs(r - c) for r in ratios) / max(abs(c), 1e-300))
 
 
 def per_entry_pairs(a) -> list:

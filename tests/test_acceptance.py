@@ -13,7 +13,7 @@ import pytest
 import distilkit as dk
 from distilkit import linalg, tomography
 
-from conftest import all_permutations, permutation_operator, random_state
+from conftest import all_permutations, jam_check, permutation_operator, random_state
 from test_tomography import pg_closest_state
 
 
@@ -185,7 +185,7 @@ def test_criterion_10_jamiolkowski_identity():
             for i in range(25):
                 rho = random_state(rng, d, d)
                 sigma = random_state(rng, 2 * d, 2 * d)
-                c, dev = dk.jam_check(rho, sigma, trials=4, seed=100 * d + i)
+                c, dev = jam_check(rho, sigma, trials=4, seed=100 * d + i)
                 assert c > 0
                 assert dev <= 1e-9
 

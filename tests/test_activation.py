@@ -1,5 +1,5 @@
-"""Activation protocol: filters, induced-map proportionality, sign witness,
-and activator search."""
+"""Activation protocol: filters, induced-map proportionality (against the
+oracle in conftest), sign witness, and activator search."""
 
 import itertools
 
@@ -11,9 +11,14 @@ import distilkit as dk
 from distilkit import linalg
 from distilkit.errors import CapacityError, NumericalError, ParameterError
 
-from conftest import random_state
+from conftest import jam_check, pairing_by_matrix_units, random_state
 
 PHI2 = dk.phi_projector(2)
+
+
+def pairing(rho: dk.BipartiteState, sigma: dk.BipartiteState, z: np.ndarray) -> float:
+    """tr[sigma (rho^T (x) z)] by the matrix-unit route."""
+    return np.trace(rho.data.T @ pairing_by_matrix_units(sigma, z)).real
 
 
 def phi_state(d=2):
@@ -120,22 +125,17 @@ class TestJamCheck:
     def test_proportionality_holds(self, d, rng):
         rho = random_state(rng, d, d)
         sigma = random_state(rng, 2 * d, 2 * d)
-        c, dev = dk.jam_check(rho, sigma, trials=25, seed=3)
-        assert c > 0
+        c, dev = jam_check(rho, sigma, trials=25, seed=3)
+        assert abs(c - 1.0) < 1e-9  # the constant 1 of the module docstring
         assert dev <= 1e-9
 
     def test_identity_probe_matches_weight(self, rng):
         d = 2
         rho = random_state(rng, d, d)
         sigma = random_state(rng, 2 * d, 2 * d)
-        c, _ = dk.jam_check(rho, sigma, trials=10, seed=1)
+        c, _ = jam_check(rho, sigma, trials=10, seed=1)
         _, weight = dk.apply_activation(rho, sigma)
-        den = dk.activation.target_pairing(rho, sigma, np.eye(4))
-        assert abs(weight / den - c) < 1e-9
-
-    def test_trials_below_one_rejected(self, rng):
-        with pytest.raises(ParameterError, match="trials"):
-            dk.jam_check(random_state(rng, 2, 2), random_state(rng, 4, 4), trials=0)
+        assert abs(weight / pairing(rho, sigma, np.eye(4)) - c) < 1e-9
 
     def test_scaling_probe_invariance(self, rng):
         d = 2
@@ -143,8 +143,8 @@ class TestJamCheck:
         sigma = random_state(rng, 2 * d, 2 * d)
         out, _ = dk.apply_activation(rho, sigma)
         z = linalg.random_density(rng, 4)
-        r1 = np.real(np.trace(out @ z)) / dk.activation.target_pairing(rho, sigma, z)
-        r3 = np.real(np.trace(out @ (3 * z))) / dk.activation.target_pairing(rho, sigma, 3 * z)
+        r1 = np.real(np.trace(out @ z)) / pairing(rho, sigma, z)
+        r3 = np.real(np.trace(out @ (3 * z))) / pairing(rho, sigma, 3 * z)
         assert abs(r1 - r3) < 1e-12
 
 
@@ -159,8 +159,8 @@ class TestEvaluateActivation:
         rho = random_state(rng, d, d)
         sigma = random_state(rng, 2 * d, 2 * d)
         witness, fidelity, weight = dk.evaluate_activation(rho, sigma)
-        ref_weight = dk.activation.target_pairing(rho, sigma, np.eye(4))
-        ref_fidelity = dk.activation.target_pairing(rho, sigma, PHI2) / ref_weight
+        ref_weight = pairing(rho, sigma, np.eye(4))
+        ref_fidelity = pairing(rho, sigma, PHI2) / ref_weight
         assert abs(weight - ref_weight) < 1e-12
         assert abs(fidelity - ref_fidelity) < 1e-12
         assert witness == dk.activation_witness(rho, sigma)
@@ -243,24 +243,9 @@ class TestActivationWitness:
         dA, dB, pairs = shape
         rho = random_state(rng, dA, dB, pairs=pairs)
         sigma = random_state(rng, 2 * dA, 2 * dA)
-        routes = [dk.activation_witness, dk.apply_activation, dk.jam_check, dk.evaluate_activation,
-                  lambda r, s: dk.activation.target_pairing(r, s, np.eye(4))]
-        for route in routes:
+        for route in (dk.activation_witness, dk.apply_activation, dk.evaluate_activation):
             with pytest.raises(ParameterError, match="activator"):
                 route(rho, sigma)
-
-
-def pairing_by_matrix_units(sigma: dk.BipartiteState, z: np.ndarray) -> np.ndarray:
-    """M with tr[sigma (rho^T (x) z)] = tr[rho^T M], entry by entry: M[b, a] is the
-    pairing of the matrix unit |a><b| (x) z, woven into A2 A3 B2 B3 by kron."""
-    d = sigma.dimA // 2
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for a, b in itertools.product(range(d * d), repeat=2):
-        unit = np.zeros((d * d, d * d))
-        unit[a, b] = 1.0
-        op = linalg.permute_factors(np.kron(unit, z), (d, d, 2, 2), (0, 2, 1, 3))
-        m[b, a] = np.trace(sigma.data @ op)
-    return m
 
 
 def old_sweep(d):
@@ -277,6 +262,13 @@ class TestPairingMatrix:
             ref = pairing_by_matrix_units(sigma, z)
             assert np.max(np.abs(dk.activation._pairing_matrix(sigma, z) - ref)) < 1e-12
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_witness_matches_matrix_unit_route(self, d, rng):
+        z = np.eye(4) / 2 - PHI2
+        for _ in range(5):
+            rho, sigma = random_state(rng, d, d), random_state(rng, 2 * d, 2 * d)
+            assert abs(dk.activation_witness(rho, sigma) - pairing(rho, sigma, z)) < 1e-12
+
 
 class TestMergeCap:
     """rho (x) sigma is one pair of dimension 4 d^4: d <= 5 fits the cap, d = 6 does not."""
@@ -291,7 +283,7 @@ class TestMergeCap:
 
     def test_over_cap_merge_is_a_capacity_error(self, rng):
         rho, sigma = self.pair(rng, 6)
-        for call in (dk.apply_activation, dk.evaluate_activation, dk.jam_check):
+        for call in (dk.apply_activation, dk.evaluate_activation):
             with pytest.raises(CapacityError, match="5184"):
                 call(rho, sigma)
 

@@ -242,6 +242,19 @@ class TestOwnership:
             with pytest.raises(ValueError):
                 out.data[0, 0] = 1.0
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tensor_power_owns_its_result(self, rng, n):
+        # the np.kron chain bit for bit, read-only; n = 1 shares the input's read-only buffer
+        rho = random_state(rng, 2, 3)
+        out = dk.tensor_power(rho, n)
+        ref = rho.data
+        for _ in range(n - 1):
+            ref = np.kron(ref, rho.data)
+        assert (out.dimA, out.dimB, out.pairs) == (2, 3, n) and out.data.tobytes() == ref.tobytes()
+        assert out.data.dtype == complex and out.data.flags.c_contiguous
+        assert not out.data.flags.writeable
+        assert (out.data is rho.data) == (n == 1)
+
     def test_public_constructor_copies(self, rng):
         mat = random_state(rng, 2, 2).data.copy()
         state = dk.BipartiteState(mat, 2, 2)

@@ -3,6 +3,7 @@ and the estimate-then-distill pipeline."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +203,45 @@ class TestProductFrame:
         rec = dk.reconstruct_from_probabilities(probs, pf)
         assert np.max(np.abs(rec - phi_state().data)) < 1e-9
 
+
+
+def traced_peak(call) -> float:
+    """Peak traced allocation of ``call()`` in MiB."""
+    tracemalloc.start()
+    try:
+        call()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak / 2 ** 20
+
+
+class TestFrameCap:
+    """A frame of side m holds m^2 operators of size m x m, about 80 m^4 bytes at its
+    peak; m^2 above DIM_CAP is a CapacityError before anything of that size exists."""
+
+    def test_minimal_frame_over_the_cap(self):
+        def build():
+            with pytest.raises(dk.CapacityError, match="65\\*\\*2 exceeds cap 4096"):
+                dk.minimal_ic_povm(65)
+        assert traced_peak(build) < 2.0
+
+    def test_local_frame_of_a_pair_over_the_cap(self):
+        state = dk.BipartiteState(np.eye(72) / 72, 9, 8)
+        def build():
+            with pytest.raises(dk.CapacityError, match="72\\*\\*2 exceeds cap 4096"):
+                tomography.local_frame(state)
+        assert traced_peak(build) < 2.0
+
+    def test_tomo_sim_over_the_cap_is_exit_3(self, capsys, tmp_path):
+        spath, out = tmp_path / "s.json", tmp_path / "c.csv"
+        dk.save_state(dk.BipartiteState(np.eye(72) / 72, 9, 8), spath)
+        codes = []
+        peak = traced_peak(lambda: codes.append(run(["tomo-sim", "--state", str(spath),
+                                                     "--shots", "10", "--seed", "1",
+                                                     "--out", str(out)])))
+        assert codes == [3] and peak < 2.0 and not out.exists()
+        assert capsys.readouterr().err == "error: result dimension 72**2 exceeds cap 4096\n"
 
 class TestSimulation:
     def test_zero_shots(self):
