@@ -69,7 +69,6 @@ from .tomography import (
     dual_frame,
     estimation_pipeline,
     minimal_ic_povm,
-    product_frame,
     reconstruct,
     reconstruct_from_probabilities,
     simulate_measurements,

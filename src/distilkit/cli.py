@@ -160,8 +160,6 @@ def cmd_defclose(args) -> int:
 
 def cmd_tomo_frame(args) -> int:
     frame = tomography.minimal_ic_povm(args.m)
-    if args.m2 is not None:
-        frame = tomography.product_frame(frame, tomography.minimal_ic_povm(args.m2))
     payload = {
         "dim": frame.dim,
         "elements": [states.encode_matrix(e) for e in frame.elements],
@@ -174,8 +172,8 @@ def cmd_tomo_frame(args) -> int:
 
 def cmd_tomo_sim(args) -> int:
     state = states.load_state(args.state)
-    frame = tomography.local_frame(state)
-    counts = tomography.simulate_measurements(state, frame, args.shots, args.seed)
+    frames = tomography.local_frame(state)
+    counts = tomography.simulate_measurements(state, frames, args.shots, args.seed)
     _write_csv(args, ["outcome_index", "count"], [[i, c] for i, c in enumerate(counts.counts)])
     print(f"shots={counts.shots} outcomes={len(counts.counts)}")
     return EXIT_OK
@@ -236,24 +234,15 @@ def cmd_sweep(args) -> int:
     values = _sweep_values(args)
     base_seed = args.seed if args.seed is not None else 0
     rows = []
-    header: list[str]
-    if args.task == "f2":
-        header = ["p", "value", "ppt", "min_pt_eigenvalue"]
+    if args.task in ("f2", "ppt"):
+        header = ["p"] + ["value"] * (args.task == "f2") + ["ppt", "min_pt_eigenvalue"]
         for idx, p in enumerate(values):
             spec = StateFamilySpec(Family(args.family), d=args.d, params={"p": p})
             state = states.construct_state(spec, seed=None)
-            rep = distillability.f2(state, restarts=args.restarts, iters=args.iters,
-                                    seed=base_seed + idx)
-            flag, lo = distillability.is_ppt(state)
-            rows.append([p, rep.value, flag, lo])
-    elif args.task == "ppt":
-        header = ["p", "ppt", "min_pt_eigenvalue"]
-        for p in values:
-            spec = StateFamilySpec(Family(args.family), d=args.d, params={"p": p})
-            state = states.construct_state(spec, seed=None)
-            flag, lo = distillability.is_ppt(state)
-            rows.append([p, flag, lo])
-    elif args.task == "tomo-pipeline":
+            value = [distillability.f2(state, restarts=args.restarts, iters=args.iters,
+                                       seed=base_seed + idx).value] if args.task == "f2" else []
+            rows.append([p, *value, *distillability.is_ppt(state)])
+    else:  # tomo-pipeline
         if not all(v.is_integer() and v >= 1 for v in values):
             raise ParameterError("shots must be finite positive integers")
         source = states.load_state(args.state) if args.state else _family_state(args)
@@ -271,8 +260,6 @@ def cmd_sweep(args) -> int:
                 verdicts.append(rep.verdict)
             rows.append([int(shots), float(np.median(fms)), float(np.median(cherns)),
                          float(np.median(dists)), max(set(verdicts), key=verdicts.count)])
-    else:
-        raise ParameterError(f"unknown sweep task {args.task!r}")
     _write_csv(args, header, rows)
     print(f"sweep task={args.task} rows={len(rows)} -> {args.out or '-'}")
     return EXIT_OK
@@ -345,10 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=4)
     p.add_argument("--iters", type=int, default=40)
 
-    p = add("tomo-frame", cmd_tomo_frame, seeded=False,
-            help="minimal IC-POVM (optionally a product frame)")
+    p = add("tomo-frame", cmd_tomo_frame, seeded=False, help="minimal IC-POVM")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--m2", type=int, default=None)
 
     p = add("tomo-sim", cmd_tomo_sim, help="simulate POVM outcomes (CSV counts)")
     p.add_argument("--state", required=True)

@@ -181,8 +181,15 @@ def _random_ppt(rng: np.random.Generator, d: int, cap: int) -> BipartiteState:
     raise SamplingError(f"no PPT state found in {cap} attempts (d={d})")
 
 
+#: the parameters each family reads; any other is a ParameterError
+_FAMILY_PARAMS = {Family.WERNER: {"p"}, Family.ISOTROPIC: {"p"}, Family.MAX_ENTANGLED: set(),
+                  Family.PRODUCT_PURE: {"dB", "i", "j"}, Family.RANDOM_MIXED: {"dB"},
+                  Family.RANDOM_PPT: {"attempt_cap"}}
+
+
 def construct_state(spec: StateFamilySpec, seed: Optional[int] = None) -> BipartiteState:
-    """Build a named-family state; ``seed`` is required for the random families."""
+    """Build a named-family state; ``seed`` is required for the random families,
+    and a parameter the family does not read is rejected."""
     d, params = spec.d, spec.params
     if d < 2:
         raise ParameterError("local dimension must be >= 2")
@@ -191,6 +198,9 @@ def construct_state(spec: StateFamilySpec, seed: Optional[int] = None) -> Bipart
         raise ParameterError(f"family {fam.value} requires a seed")
     dB = int(params.get("dB", d)) if fam in (Family.PRODUCT_PURE, Family.RANDOM_MIXED) else d
     power_dim(d * dB, 1)  # the cap, before anything is allocated
+    unread = sorted(set(params) - _FAMILY_PARAMS[fam])
+    if unread:
+        raise ParameterError(f"family {fam.value} does not take {', '.join(unread)}")
     rng = np.random.default_rng(seed) if seed is not None else None
 
     if fam in (Family.WERNER, Family.ISOTROPIC):

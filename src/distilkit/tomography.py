@@ -40,6 +40,16 @@ class Frame:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    @classmethod
+    def _own(cls, elements: np.ndarray, duals: np.ndarray) -> "Frame":
+        """The frame of two fresh complex stacks that no caller keeps, made
+        read-only in place of the constructor's defensive copies."""
+        elements.setflags(write=False)
+        duals.setflags(write=False)
+        frame = object.__new__(cls)
+        frame.__dict__.update(elements=elements, duals=duals)
+        return frame
+
     @property
     def dim(self) -> int:
         return self.elements.shape[1]
@@ -96,28 +106,26 @@ def minimal_ic_povm(m: int) -> Frame:
     w, v = np.linalg.eigh(projs.sum(axis=0))
     s_inv_half = (v * (1.0 / np.sqrt(w))) @ v.conj().T
     elements = linalg.hermitize(s_inv_half @ projs @ s_inv_half)
-    return Frame(elements, dual_frame(elements))
+    return Frame._own(elements, dual_frame(elements))
 
 
-def product_frame(a: Frame, b: Frame) -> Frame:
-    """Tensor-product POVM; joint outcome (i, j) is flattened as i * b.n_outcomes + j.
-    As for a minimal frame, m^2 with m = a.dim * b.dim is capped before the stacks exist."""
-    m = a.dim * b.dim
-    states.power_dim(m, 2)
-    return Frame(states.kron(a.elements[:, None], b.elements).reshape(-1, m, m),
-                 states.kron(a.duals[:, None], b.duals).reshape(-1, m, m))
+def local_frame(state: BipartiteState) -> tuple[Frame, Frame]:
+    """The minimal IC-POVMs on A and on B that measure one pair of ``state``.  The
+    joint outcome table, (dimA * dimB)^2 entries, is capped before either is built."""
+    states.power_dim(state.pair_dim, 2)
+    return minimal_ic_povm(state.dimA), minimal_ic_povm(state.dimB)
 
 
-def local_frame(state: BipartiteState) -> Frame:
-    """Product of the minimal IC-POVMs on A and on B: the frame for one pair of ``state``."""
-    return product_frame(minimal_ic_povm(state.dimA), minimal_ic_povm(state.dimB))
-
-
-def born_probabilities(state: BipartiteState, frame: Frame) -> np.ndarray:
-    """Outcome distribution tr[M_k rho], clipped of tiny negatives and renormalized."""
-    if frame.dim != state.dim:
-        raise ParameterError("frame dimension does not match the state")
-    p = np.trace(frame.elements @ state.data, axis1=1, axis2=2).real
+def born_probabilities(state: BipartiteState, frames: tuple[Frame, Frame]) -> np.ndarray:
+    """Outcome distribution p_kl = tr[(E_k (x) F_l) rho] of the local frames (E, F),
+    flattened as k * K_B + l, clipped of tiny negatives and renormalized: two
+    contractions p_kl = sum E_k[c, a] F_l[d, b] rho[(a b), (c d)]."""
+    fa, fb = frames
+    if state.pairs != 1 or (fa.dim, fb.dim) != (state.dimA, state.dimB):
+        raise ParameterError("frame dimensions do not match the pair")
+    rho = state.data.reshape(fa.dim, fb.dim, fa.dim, fb.dim)
+    half = np.tensordot(fa.elements, rho, axes=([1, 2], [2, 0]))  # (k, b, d)
+    p = np.tensordot(half, fb.elements, axes=([1, 2], [2, 1])).real.reshape(-1)
     if p.min() < -1e-12:
         raise NumericalError(f"Born probability {p.min()} below clipping tolerance")
     p = np.clip(p, 0.0, None)
@@ -128,33 +136,34 @@ def born_probabilities(state: BipartiteState, frame: Frame) -> np.ndarray:
 
 
 def simulate_measurements(
-    state: BipartiteState, frame: Frame, shots: int, seed: Optional[int]
+    state: BipartiteState, frames: tuple[Frame, Frame], shots: int, seed: Optional[int]
 ) -> OutcomeCounts:
     """Multinomial sample of i.i.d. outcomes; deterministic for a fixed seed."""
     if shots < 0:
         raise ParameterError("shots must be nonnegative")
-    p = born_probabilities(state, frame)
-    if shots == 0:
-        return OutcomeCounts(tuple(0 for _ in p), 0)
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, p)
+    counts = np.random.default_rng(seed).multinomial(shots, born_probabilities(state, frames))
     return OutcomeCounts(tuple(int(c) for c in counts), shots)
 
 
-def reconstruct(counts: OutcomeCounts, frame: Frame) -> np.ndarray:
-    """Linear-inversion estimate sum_k freq_k * dual_k.
+def reconstruct(counts: OutcomeCounts, frames: tuple[Frame, Frame]) -> np.ndarray:
+    """Linear-inversion estimate sum_kl freq_kl * D_k (x) G_l.
 
     Hermitian with unit trace (every dual has unit trace thanks to
     biorthogonality), but possibly non-positive for finite samples.
     """
-    return reconstruct_from_probabilities(counts.frequencies(), frame)
+    return reconstruct_from_probabilities(counts.frequencies(), frames)
 
 
-def reconstruct_from_probabilities(probs: np.ndarray, frame: Frame) -> np.ndarray:
-    """Linear inversion on exact outcome probabilities (infinite-shot limit)."""
-    if len(probs) != frame.n_outcomes:
-        raise ParameterError("probability vector length does not match the frame")
-    return linalg.hermitize(np.tensordot(probs, frame.duals, axes=1))
+def reconstruct_from_probabilities(probs: np.ndarray, frames: tuple[Frame, Frame]) -> np.ndarray:
+    """Linear inversion X = sum_kl f_kl D_k (x) G_l on exact outcome probabilities
+    (infinite-shot limit), with D and G the local duals: one contraction over l,
+    then one over k."""
+    fa, fb = frames
+    if len(probs) != fa.n_outcomes * fb.n_outcomes:
+        raise ParameterError("probability vector length does not match the frames")
+    half = np.tensordot(np.reshape(probs, (fa.n_outcomes, -1)), fb.duals, axes=1)  # (k, b, d)
+    x = np.tensordot(fa.duals, half, axes=([0], [0])).transpose(0, 2, 1, 3)  # (a, b, c, d)
+    return linalg.hermitize(x.reshape(fa.dim * fb.dim, -1))
 
 
 def closest_state(x: np.ndarray, dimA: int, dimB: int) -> BipartiteState:
@@ -236,19 +245,9 @@ class PipelineReport:
     seed: Optional[int]
 
     def to_dict(self) -> dict:
+        """The fields in order, with the state and the certificate as their JSON records."""
         cert = None if self.certificate is None else self.certificate.to_dict()
-        return {
-            "sigma_m": states.state_to_dict(self.sigma_m),
-            "verdict": self.verdict,
-            "f_m": float(self.f_m),
-            "chernoff": float(self.chernoff),
-            "surrogate": bool(self.surrogate),
-            "observed_deviation": float(self.observed_deviation),
-            "certificate": cert,
-            "shots": int(self.shots),
-            "n": int(self.n),
-            "seed": self.seed,
-        }
+        return {**vars(self), "sigma_m": states.state_to_dict(self.sigma_m), "certificate": cert}
 
 
 def _stage(name, fn, *args, **kwargs):
@@ -269,7 +268,7 @@ def estimation_pipeline(
     """Measure, reconstruct, project, decide, and (when distillable) filter.
 
     Single pairs are sampled i.i.d. from the source's single-pair marginal
-    with a local product IC-POVM; the linear-inversion estimate is projected
+    with the local IC-POVMs on A and B; the linear-inversion estimate is projected
     to the closest state sigma_m, which is then tested for n-copy
     distillability.  On a violation, the certificate's filters are applied to
     the true n-pair power and the post-selected (normalized) expectation
@@ -280,22 +279,22 @@ def estimation_pipeline(
     if m_shots < 1:
         raise ParameterError("the pipeline needs at least one shot")
     marginal = source.average() if isinstance(source, Ensemble) else states.partial_trace(source, {1})
-    frame = local_frame(marginal)
+    frames = local_frame(marginal)
 
     rng = np.random.default_rng(seed)
     sample_seed, distill_seed = (int(s) for s in rng.integers(0, 2 ** 63 - 1, size=2))
 
-    counts = _stage("sampling", simulate_measurements, marginal, frame, m_shots, sample_seed)
-    x_m = _stage("reconstruction", reconstruct, counts, frame)
+    counts = _stage("sampling", simulate_measurements, marginal, frames, m_shots, sample_seed)
+    x_m = _stage("reconstruction", reconstruct, counts, frames)
     sigma_m = _stage("projection", closest_state, x_m, marginal.dimA, marginal.dimB)
     verdict_report = _stage(
         "distillability", distillability.n_copy_distillable, sigma_m, n,
         budget, distill_seed,
     )
 
-    p_true = born_probabilities(marginal, frame)
+    p_true = born_probabilities(marginal, frames)
     observed = float(np.abs(counts.frequencies() - p_true).sum())
-    chern = chernoff_tail(observed, m_shots, frame.n_outcomes).reported if observed > 0 else 0.0
+    chern = chernoff_tail(observed, m_shots, len(p_true)).reported if observed > 0 else 0.0
 
     if verdict_report.value < -distillability.VIOLATION_TOL:
         power = states.tensor_power(marginal, n)
@@ -318,8 +317,8 @@ def estimation_pipeline(
         surrogate=True,
         observed_deviation=observed,
         certificate=certificate,
-        shots=m_shots,
-        n=n,
+        shots=int(m_shots),
+        n=int(n),
         seed=seed,
     )
 

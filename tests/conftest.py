@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from distilkit import BipartiteState, activation, distillability, linalg
+from distilkit import BipartiteState, Frame, activation, distillability, linalg
 from distilkit.errors import NumericalError, ParameterError
 from distilkit.states import power_dim, to_global_cut
 
@@ -243,6 +243,25 @@ def jam_check(rho: BipartiteState, sigma: BipartiteState, trials: int = 20,
         raise NumericalError("all probe operators were degenerate")
     c = float(np.mean(ratios))
     return c, float(max(abs(r - c) for r in ratios) / max(abs(c), 1e-300))
+
+
+def product_frame(a: Frame, b: Frame) -> Frame:
+    """The tensor-product POVM of two local frames, one ``np.kron`` per joint
+    outcome (k, l), flattened as k * b.n_outcomes + l: the (m^2, m, m) stacks that
+    the library's local contractions never form."""
+    return Frame(np.array([np.kron(x, y) for x in a.elements for y in b.elements]),
+                 np.array([np.kron(x, y) for x in a.duals for y in b.duals]))
+
+
+def born_by_product_frame(state: BipartiteState, frame: Frame) -> np.ndarray:
+    """tr[M_kl rho] for each product element, clipped and renormalized as the library does."""
+    p = np.clip([np.real(np.trace(e @ state.data)) for e in frame.elements], 0.0, None)
+    return p / p.sum()
+
+
+def reconstruct_by_product_frame(probs: np.ndarray, frame: Frame) -> np.ndarray:
+    """sum_kl p_kl (D_k (x) G_l) over the product duals."""
+    return linalg.hermitize(np.tensordot(probs, frame.duals, axes=1))
 
 
 def per_entry_pairs(a) -> list:

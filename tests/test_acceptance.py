@@ -135,9 +135,8 @@ def test_criterion_07_frame_roundtrip():
                 rec = sum(np.real(np.trace(e @ x)) * d for e, d in zip(fr.elements, fr.duals))
                 assert np.linalg.norm(rec - x, 2) <= 1e-9
         fr2 = dk.minimal_ic_povm(2)
-        pf = dk.product_frame(fr2, fr2)
-        probs = dk.born_probabilities(phi_state(), pf)
-        rec = dk.reconstruct_from_probabilities(probs, pf)
+        probs = dk.born_probabilities(phi_state(), (fr2, fr2))
+        rec = dk.reconstruct_from_probabilities(probs, (fr2, fr2))
         assert np.linalg.norm(rec - phi_state().data, 2) <= 1e-9
 
 
@@ -145,15 +144,15 @@ def test_criterion_08_tomography_convergence():
     with criterion(8, "tomography convergence and tail bound", budget_s=600.0):
         w = dk.werner_state(2, 0.75)
         fr = dk.minimal_ic_povm(2)
-        pf = dk.product_frame(fr, fr)
-        born = dk.born_probabilities(w, pf)
+        frames = (fr, fr)
+        born = dk.born_probabilities(w, frames)
         shot_grid = (100, 1_000, 10_000, 100_000)
         medians = []
         for shots in shot_grid:
             dists, failures = [], 0
             for seed in range(50):
-                counts = dk.simulate_measurements(w, pf, shots, seed=seed)
-                sigma = dk.closest_state(dk.reconstruct(counts, pf), 2, 2)
+                counts = dk.simulate_measurements(w, frames, shots, seed=seed)
+                sigma = dk.closest_state(dk.reconstruct(counts, frames), 2, 2)
                 dists.append(dk.trace_distance(sigma, w))
                 if np.abs(counts.frequencies() - born).sum() > 0.1:
                     failures += 1

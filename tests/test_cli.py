@@ -330,6 +330,17 @@ class TestScalarCommands:
         assert run(["state", "--family", family, "--d", "2"]) == 2
         assert "requires the weight p" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,unread", [
+        (["--family", "random_mixed", "--d", "2", "--p", "0.3", "--seed", "1"], "p"),
+        (["--family", "max_entangled", "--d", "2", "--dB", "3"], "dB"),
+    ])
+    def test_family_rejects_an_unread_option(self, capsys, tmp_path, argv, unread):
+        out = tmp_path / "s.json"
+        assert run(["state"] + argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.endswith(f"does not take {unread}\n")
+
     def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
         out = tmp_path / "missing" / "x.json"
         assert run(["state", "--family", "werner", "--d", "2", "--p", "0.3",
@@ -574,11 +585,14 @@ class TestTomographyCommands:
         assert payload["surrogate"] is True
 
     def test_zero_second_frame_is_usage_error(self, capsys, tmp_path):
+        # a pair is measured by its two local frames, which tomo-sim builds; the
+        # product frame's --m2 is an unknown option, exit 2, whatever its value
         out = tmp_path / "f.json"
-        assert run(["tomo-frame", "--m", "2", "--m2", "0", "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and not out.exists()
-        assert captured.err == "error: need dimension m >= 2\n"
+        for m2 in ("0", "2"):
+            assert run(["tomo-frame", "--m", "2", "--m2", m2, "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert f"unrecognized arguments: --m2 {m2}" in captured.err
 
 
 class TestActivationCommands:

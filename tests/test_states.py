@@ -86,6 +86,18 @@ class TestFamilies:
         with pytest.raises(ParameterError):
             dk.construct_state(spec("isotropic", d=2, p=-0.1))
 
+    @pytest.mark.parametrize("family,params,unread", [
+        ("max_entangled", {"p": 0.3}, "p"), ("product_pure", {"p": 0.3}, "p"),
+        ("random_mixed", {"p": 0.3}, "p"), ("random_ppt", {"p": 0.3}, "p"),
+        ("werner", {"p": 0.3, "dB": 3}, "dB"), ("max_entangled", {"dB": 3}, "dB"),
+        ("random_ppt", {"dB": 3}, "dB"), ("werner", {"p": 0.3, "i": 1}, "i"),
+        ("random_mixed", {"j": 1}, "j"), ("isotropic", {"p": 0.3, "attempt_cap": 5}, "attempt_cap"),
+        ("product_pure", {"attempt_cap": 5}, "attempt_cap"), ("max_entangled", {"q": 1}, "q"),
+    ])
+    def test_unread_parameter_rejected(self, family, params, unread):
+        with pytest.raises(ParameterError, match=f"family {family} does not take {unread}$"):
+            dk.construct_state(spec(family, d=2, **params), seed=1)
+
     @pytest.mark.parametrize("family", ["werner", "isotropic"])
     def test_weight_is_required(self, family):
         with pytest.raises(ParameterError, match="requires the weight p"):

@@ -14,7 +14,8 @@ from distilkit import linalg, tomography
 from distilkit.cli import run
 from distilkit.errors import FrameError, NumericalError, ParameterError
 
-from conftest import random_state
+from conftest import (born_by_product_frame, product_frame, random_state,
+                      reconstruct_by_product_frame)
 
 
 def hermitian_basis(m):
@@ -119,7 +120,7 @@ class TestMinimalIcPovm:
     def test_roundtrip_against_lstsq(self, ma, mb, rng):
         fr = dk.minimal_ic_povm(ma)
         if mb is not None:
-            fr = dk.product_frame(fr, dk.minimal_ic_povm(mb))
+            fr = product_frame(fr, dk.minimal_ic_povm(mb))
         m = fr.dim
         gram = np.array([[np.real(np.trace(a @ b)) for b in fr.elements] for a in fr.elements])
         assert np.linalg.matrix_rank(gram, tol=1e-10) == m * m
@@ -152,6 +153,14 @@ class TestMinimalIcPovm:
         for stack in (frame.elements, frame.duals):
             assert stack.shape == (4, 2, 2) and not stack.flags.writeable
 
+    def test_library_frame_owns_its_stacks(self):
+        # the stacks minimal_ic_povm builds are kept, not copied: 81.4 bytes per m^4
+        # at the peak with a copy of both, 65.8 without
+        m = 24
+        assert traced_peak(lambda: dk.minimal_ic_povm(m)) < 72 * m ** 4 / 2 ** 20
+        fr = dk.minimal_ic_povm(2)
+        assert not fr.elements.flags.writeable and not fr.duals.flags.writeable
+
 
 class TestDualFrame:
     def test_duplicated_elements_rejected(self):
@@ -166,43 +175,69 @@ class TestDualFrame:
             dk.dual_frame(list(fr.elements[:3]))
 
 
+PAIRS = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (6, 6)]
+
+
 class TestProductFrame:
+    """The product measurement on a pair by contractions with its two local stacks,
+    against the product frame built one np.kron at a time (the conftest oracle)."""
+
     def test_sixteen_elements_sum_to_identity(self):
-        fr = dk.minimal_ic_povm(2)
-        pf = dk.product_frame(fr, fr)
+        pf = product_frame(*tomography.local_frame(phi_state()))
         assert pf.n_outcomes == 16
         assert np.max(np.abs(sum(pf.elements) - np.eye(4))) < 1e-10
 
-    @pytest.mark.parametrize("ma,mb", [(2, 2), (2, 3)])
-    def test_stacks_match_per_element_kron(self, ma, mb):
-        a, b = dk.minimal_ic_povm(ma), dk.minimal_ic_povm(mb)
-        pf = dk.product_frame(a, b)
-        assert np.array_equal(pf.elements, [np.kron(x, y) for x in a.elements for y in b.elements])
-        assert np.array_equal(pf.duals, [np.kron(x, y) for x in a.duals for y in b.duals])
-
     def test_born_matches_per_element_trace(self, rng):
-        pf = tomography.local_frame(random_state(rng, 2, 3))
-        for _ in range(10):
-            s = random_state(rng, 2, 3)
-            p = np.clip([np.real(np.trace(e @ s.data)) for e in pf.elements], 0.0, None)
-            assert np.array_equal(dk.born_probabilities(s, pf), p / p.sum())
+        for dA, dB in PAIRS:
+            frames = tomography.local_frame(random_state(rng, dA, dB))
+            oracle = product_frame(*frames)
+            for _ in range(3):
+                s = random_state(rng, dA, dB)
+                p = dk.born_probabilities(s, frames)
+                assert p.shape == (oracle.n_outcomes,)
+                assert np.max(np.abs(p - born_by_product_frame(s, oracle))) <= 1e-15
+
+    def test_reconstruction_matches_per_element_kron(self, rng):
+        for dA, dB in PAIRS:
+            s = random_state(rng, dA, dB)
+            frames = tomography.local_frame(s)
+            oracle = product_frame(*frames)
+            born = dk.born_probabilities(s, frames)
+            for probs in (born, rng.dirichlet(np.ones(oracle.n_outcomes))):
+                rec = dk.reconstruct_from_probabilities(probs, frames)
+                assert np.max(np.abs(rec - reconstruct_by_product_frame(probs, oracle))) <= 1e-15
+            assert np.max(np.abs(dk.reconstruct_from_probabilities(born, frames) - s.data)) < 1e-12
+
+    def test_seven_by_seven_pair_stays_small(self, rng):
+        # the product frame of a 7x7 pair is two (2401, 49, 49) stacks, about 352 MiB
+        s = random_state(rng, 7, 7)
+        frames = tomography.local_frame(s)
+        peak = traced_peak(lambda: dk.reconstruct_from_probabilities(
+            dk.born_probabilities(s, frames), frames))
+        assert peak < 4.0
+
+    def test_mismatched_frames_rejected(self, rng):
+        fr2, fr3 = dk.minimal_ic_povm(2), dk.minimal_ic_povm(3)
+        with pytest.raises(ParameterError, match="do not match the pair"):
+            dk.born_probabilities(random_state(rng, 2, 3), (fr3, fr2))
+        with pytest.raises(ParameterError, match="do not match the pair"):
+            dk.born_probabilities(random_state(rng, 2, 2, pairs=2), (fr2, fr2))
+        with pytest.raises(ParameterError, match="does not match the frames"):
+            dk.reconstruct_from_probabilities(np.full(16, 1 / 16), (fr2, fr3))
 
     def test_product_state_reconstruction(self, rng):
         fr = dk.minimal_ic_povm(2)
-        pf = dk.product_frame(fr, fr)
         a, b = linalg.random_density(rng, 2), linalg.random_density(rng, 2)
         s = dk.BipartiteState(np.kron(a, b), 2, 2)
-        probs = dk.born_probabilities(s, pf)
-        rec = dk.reconstruct_from_probabilities(probs, pf)
+        probs = dk.born_probabilities(s, (fr, fr))
+        rec = dk.reconstruct_from_probabilities(probs, (fr, fr))
         assert np.max(np.abs(rec - s.data)) < 1e-9
 
     def test_entangled_state_needs_no_entangled_measurements(self):
         fr = dk.minimal_ic_povm(2)
-        pf = dk.product_frame(fr, fr)
-        probs = dk.born_probabilities(phi_state(), pf)
-        rec = dk.reconstruct_from_probabilities(probs, pf)
+        probs = dk.born_probabilities(phi_state(), (fr, fr))
+        rec = dk.reconstruct_from_probabilities(probs, (fr, fr))
         assert np.max(np.abs(rec - phi_state().data)) < 1e-9
-
 
 
 def traced_peak(call) -> float:
@@ -217,8 +252,10 @@ def traced_peak(call) -> float:
 
 
 class TestFrameCap:
-    """A frame of side m holds m^2 operators of size m x m, about 80 m^4 bytes at its
-    peak; m^2 above DIM_CAP is a CapacityError before anything of that size exists."""
+    """A frame of side m holds m^2 operators of size m x m, about 66 m^4 bytes at its
+    peak at m = 24; m^2 above DIM_CAP is a CapacityError before anything of that size exists.
+    A pair's joint outcome table, (dimA * dimB)^2 entries, has the same cap, checked
+    before either local frame is built."""
 
     def test_minimal_frame_over_the_cap(self):
         def build():
@@ -243,46 +280,65 @@ class TestFrameCap:
         assert codes == [3] and peak < 2.0 and not out.exists()
         assert capsys.readouterr().err == "error: result dimension 72**2 exceeds cap 4096\n"
 
+
 class TestSimulation:
     def test_zero_shots(self):
         fr = dk.minimal_ic_povm(2)
-        pf = dk.product_frame(fr, fr)
-        counts = dk.simulate_measurements(phi_state(), pf, 0, seed=1)
+        frames = (fr, fr)
+        counts = dk.simulate_measurements(phi_state(), frames, 0, seed=1)
         assert counts.shots == 0 and all(c == 0 for c in counts.counts)
 
     def test_frequencies_approach_born(self):
         fr = dk.minimal_ic_povm(2)
-        pf = dk.product_frame(fr, fr)
+        frames = (fr, fr)
         w = dk.werner_state(2, 0.75)
-        counts = dk.simulate_measurements(w, pf, 100_000, seed=5)
-        p = dk.born_probabilities(w, pf)
+        counts = dk.simulate_measurements(w, frames, 100_000, seed=5)
+        p = dk.born_probabilities(w, frames)
         assert np.max(np.abs(counts.frequencies() - p)) < 0.02
 
     def test_deterministic_for_fixed_seed(self):
         fr = dk.minimal_ic_povm(2)
-        pf = dk.product_frame(fr, fr)
-        c1 = dk.simulate_measurements(phi_state(), pf, 500, seed=9)
-        c2 = dk.simulate_measurements(phi_state(), pf, 500, seed=9)
+        frames = (fr, fr)
+        c1 = dk.simulate_measurements(phi_state(), frames, 500, seed=9)
+        c2 = dk.simulate_measurements(phi_state(), frames, 500, seed=9)
         assert c1.counts == c2.counts
 
     def test_dimension_mismatch(self):
         fr = dk.minimal_ic_povm(3)
         with pytest.raises(ParameterError):
-            dk.simulate_measurements(phi_state(), fr, 10, seed=0)
+            dk.simulate_measurements(phi_state(), (fr, fr), 10, seed=0)
+
+    @pytest.mark.parametrize("state,seed,shots,expect", [
+        pytest.param(lambda: dk.werner_state(2, 0.75), 3, 1000,
+                     (20, 116, 62, 74, 116, 22, 75, 74, 69, 58, 14, 65, 79, 67, 66, 23),
+                     id="werner-2x2"),
+        pytest.param(lambda: dk.construct_state(
+            dk.StateFamilySpec(dk.Family.RANDOM_MIXED, 2, {"dB": 3}), seed=1), 11, 500,
+            (11, 7, 9, 9, 5, 6, 7, 3, 8, 16, 27, 37, 29, 20, 13, 21, 21, 35, 16, 14, 17, 17, 12,
+             4, 21, 17, 5, 9, 5, 12, 12, 10, 5, 17, 7, 16), id="random-2x3"),
+    ])
+    def test_tomo_sim_counts_pinned(self, tmp_path, state, seed, shots, expect):
+        # outcome (k, l) sits at k * K_B + l and the seed stream is unchanged: these
+        # counts were written by the product-frame route
+        spath, out = tmp_path / "s.json", tmp_path / "c.csv"
+        dk.save_state(state(), spath)
+        assert run(["tomo-sim", "--state", str(spath), "--shots", str(shots),
+                    "--seed", str(seed), "--out", str(out)]) == 0
+        assert tomography.load_counts(out).counts == expect
 
     def test_large_deviation_rate_below_tail_bound(self):
         # 200 trials at a shot count where the bound is nonvacuous; the
         # empirical l1-deviation failure rate must not exceed it
         fr = dk.minimal_ic_povm(2)
-        pf = dk.product_frame(fr, fr)
+        frames = (fr, fr)
         w = dk.werner_state(2, 0.75)
-        born = dk.born_probabilities(w, pf)
+        born = dk.born_probabilities(w, frames)
         shots = 100_000
         bound = dk.chernoff_tail(0.1, shots, 16).reported
         assert bound < 1.0
         failures = 0
         for seed in range(200):
-            counts = dk.simulate_measurements(w, pf, shots, seed=seed)
+            counts = dk.simulate_measurements(w, frames, shots, seed=seed)
             if np.abs(counts.frequencies() - born).sum() > 0.1:
                 failures += 1
         assert failures / 200 <= bound
@@ -291,16 +347,16 @@ class TestSimulation:
 class TestReconstruct:
     def test_exact_probabilities_reproduce_state(self, rng):
         fr = dk.minimal_ic_povm(2)
-        pf = dk.product_frame(fr, fr)
+        frames = (fr, fr)
         s = random_state(rng, 2, 2)
-        rec = dk.reconstruct_from_probabilities(dk.born_probabilities(s, pf), pf)
+        rec = dk.reconstruct_from_probabilities(dk.born_probabilities(s, frames), frames)
         assert np.max(np.abs(rec - s.data)) < 1e-9
 
     def test_finite_samples_may_go_negative(self):
         fr = dk.minimal_ic_povm(2)
-        pf = dk.product_frame(fr, fr)
-        counts = dk.simulate_measurements(phi_state(), pf, 100, seed=3)
-        x = dk.reconstruct(counts, pf)
+        frames = (fr, fr)
+        counts = dk.simulate_measurements(phi_state(), frames, 100, seed=3)
+        x = dk.reconstruct(counts, frames)
         assert linalg.herm_residual(x) < 1e-12
         assert abs(np.trace(x).real - 1.0) < 1e-9
         # negativity is allowed (and typical) at 100 shots; it must not raise
@@ -309,12 +365,12 @@ class TestReconstruct:
         # distances in the halved (trace-distance) convention; the raw
         # trace-norm reading is not met by the pinned frame construction
         fr = dk.minimal_ic_povm(2)
-        pf = dk.product_frame(fr, fr)
+        frames = (fr, fr)
         w = dk.werner_state(2, 0.75)
         hits = 0
         for seed in range(50):
-            counts = dk.simulate_measurements(w, pf, 100_000, seed=seed)
-            x = dk.reconstruct(counts, pf)
+            counts = dk.simulate_measurements(w, frames, 100_000, seed=seed)
+            x = dk.reconstruct(counts, frames)
             if 0.5 * linalg.trace_norm(x - w.data) <= 0.05:
                 hits += 1
         assert hits >= 49  # probability >= 0.99
