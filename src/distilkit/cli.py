@@ -4,8 +4,7 @@ One verb per library operation; every invocation writes at most one output
 artifact, prints a single summary line on stdout, and embeds
 ``{"seed", "version", "command", "options"}`` in the artifact so runs can be
 reproduced; only the verbs that draw random numbers take ``--seed`` and
-record a ``seed``.  ``sweep`` and ``tomo-sim`` write a CSV table under a
-``# meta:`` line; every other verb writes its full report as strict JSON.
+record a ``seed``.  Every verb writes its full report as strict JSON.
 Exit codes: 0 success, 1 domain verdict (violation/activator found), 2 usage
 or input error, 3 numerical/capacity error (a MemoryError included).
 """
@@ -13,15 +12,13 @@ or input error, 3 numerical/capacity error (a MemoryError included).
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 
 import numpy as np
 
 from . import __version__, activation, distillability, states, symmetry, tomography
 from .errors import DistilKitError, ParameterError
-from .states import BipartiteState, Family, StateFamilySpec
+from .states import Family, StateFamilySpec
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -47,35 +44,14 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _write_csv(args, header: list[str], rows: list[list]) -> None:
-    """Write a table to ``--out`` under a ``# meta:`` line of strict JSON."""
-    if not args.out:
-        return
-    meta = "# meta: " + json.dumps(_meta(args), allow_nan=False) + "\n"
-    with open(args.out, "w", newline="") as fh:
-        fh.write(meta)
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
-
-
-def _family_state(args) -> BipartiteState:
-    params = {}
-    if getattr(args, "p", None) is not None:
-        params["p"] = args.p
-    if getattr(args, "dB", None) is not None:
-        params["dB"] = args.dB
-    spec = StateFamilySpec(Family(args.family), d=args.d, params=params)
-    return states.construct_state(spec, seed=args.seed)
-
-
 # --------------------------------------------------------------------------
 # subcommand handlers (each returns the exit code)
 # --------------------------------------------------------------------------
 
 def cmd_state(args) -> int:
-    state = _family_state(args)
+    params = {k: v for k, v in (("p", args.p), ("dB", args.dB)) if v is not None}
+    state = states.construct_state(StateFamilySpec(Family(args.family), d=args.d, params=params),
+                                   seed=args.seed)
     _write_json(args, states.state_to_dict(state))
     print(f"state family={args.family} d={args.d} dim={state.dim} -> {args.out or '-'}")
     return EXIT_OK
@@ -174,7 +150,7 @@ def cmd_tomo_sim(args) -> int:
     state = states.load_state(args.state)
     frames = tomography.local_frame(state)
     counts = tomography.simulate_measurements(state, frames, args.shots, args.seed)
-    _write_csv(args, ["outcome_index", "count"], [[i, c] for i, c in enumerate(counts.counts)])
+    _write_json(args, counts.to_dict())
     print(f"shots={counts.shots} outcomes={len(counts.counts)}")
     return EXIT_OK
 
@@ -219,50 +195,6 @@ def cmd_activate_search(args) -> int:
     found = not rep.budget_exhausted
     print(f"witness={_fmt(rep.witness)} found={found} gap={_fmt(rep.gap)}")
     return EXIT_VERDICT if found else EXIT_OK
-
-
-def _sweep_values(args) -> list[float]:
-    vals = [float(v) for v in args.values.split(",") if v.strip()]
-    if not vals:
-        raise ParameterError("sweep needs >= 1 value, got none")
-    return vals
-
-
-def cmd_sweep(args) -> int:
-    if args.repeats < 1:
-        raise ParameterError("need --repeats >= 1")
-    values = _sweep_values(args)
-    base_seed = args.seed if args.seed is not None else 0
-    rows = []
-    if args.task in ("f2", "ppt"):
-        header = ["p"] + ["value"] * (args.task == "f2") + ["ppt", "min_pt_eigenvalue"]
-        for idx, p in enumerate(values):
-            spec = StateFamilySpec(Family(args.family), d=args.d, params={"p": p})
-            state = states.construct_state(spec, seed=None)
-            value = [distillability.f2(state, restarts=args.restarts, iters=args.iters,
-                                       seed=base_seed + idx).value] if args.task == "f2" else []
-            rows.append([p, *value, *distillability.is_ppt(state)])
-    else:  # tomo-pipeline
-        if not all(v.is_integer() and v >= 1 for v in values):
-            raise ParameterError("shots must be finite positive integers")
-        source = states.load_state(args.state) if args.state else _family_state(args)
-        truth = states.partial_trace(source, {1})
-        header = ["shots", "f_m", "chernoff", "trace_distance", "verdict"]
-        for idx, shots in enumerate(values):
-            dists, fms, cherns, verdicts = [], [], [], []
-            for r in range(args.repeats):
-                rep = tomography.estimation_pipeline(
-                    source, n=args.n, m_shots=int(shots), budget=args.budget,
-                    seed=base_seed + idx * args.repeats + r)
-                dists.append(states.trace_distance(rep.sigma_m, truth))
-                fms.append(rep.f_m)
-                cherns.append(rep.chernoff)
-                verdicts.append(rep.verdict)
-            rows.append([int(shots), float(np.median(fms)), float(np.median(cherns)),
-                         float(np.median(dists)), max(set(verdicts), key=verdicts.count)])
-    _write_csv(args, header, rows)
-    print(f"sweep task={args.task} rows={len(rows)} -> {args.out or '-'}")
-    return EXIT_OK
 
 
 # --------------------------------------------------------------------------
@@ -335,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("tomo-frame", cmd_tomo_frame, seeded=False, help="minimal IC-POVM")
     p.add_argument("--m", type=int, required=True)
 
-    p = add("tomo-sim", cmd_tomo_sim, help="simulate POVM outcomes (CSV counts)")
+    p = add("tomo-sim", cmd_tomo_sim, help="simulate POVM outcome counts")
     p.add_argument("--state", required=True)
     p.add_argument("--shots", type=int, required=True)
 
@@ -360,20 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", required=True)
     # ignored: the search is exact; perfbench/test_checks.py is the only caller still passing it
     p.add_argument("--budget", help=argparse.SUPPRESS)
-
-    p = add("sweep", cmd_sweep, help="parameter sweep emitting a CSV table")
-    p.add_argument("--task", required=True, choices=["f2", "ppt", "tomo-pipeline"])
-    p.add_argument("--values", required=True, help="comma-separated values")
-    p.add_argument("--family", default="werner")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--dB", type=int, default=None)
-    p.add_argument("--state", default=None)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--budget", type=int, default=20)
-    p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--restarts", type=int, default=distillability.DEFAULT_RESTARTS)
-    p.add_argument("--iters", type=int, default=distillability.DEFAULT_ITERS)
 
     return parser
 

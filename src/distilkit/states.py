@@ -198,7 +198,9 @@ def construct_state(spec: StateFamilySpec, seed: Optional[int] = None) -> Bipart
         raise ParameterError(f"family {fam.value} requires a seed")
     dB = int(params.get("dB", d)) if fam in (Family.PRODUCT_PURE, Family.RANDOM_MIXED) else d
     power_dim(d * dB, 1)  # the cap, before anything is allocated
-    unread = sorted(set(params) - _FAMILY_PARAMS[fam])
+    # a seeded product_pure draws random kets and reads no basis index
+    reads = _FAMILY_PARAMS[fam] - ({"i", "j"} if seed is not None else set())
+    unread = sorted(set(params) - reads)
     if unread:
         raise ParameterError(f"family {fam.value} does not take {', '.join(unread)}")
     rng = np.random.default_rng(seed) if seed is not None else None

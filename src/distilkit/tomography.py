@@ -9,7 +9,6 @@ it.  Distribution deviations fed to the tail bound are unhalved l1 sums.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
@@ -74,6 +73,10 @@ class OutcomeCounts:
         if self.shots == 0:
             raise ParameterError("no shots recorded")
         return np.asarray(self.counts, dtype=float) / self.shots
+
+    def to_dict(self) -> dict:
+        """The counts record that :func:`load_counts` reads; outcome k is list index k."""
+        return {"counts": list(self.counts)}
 
 
 def dual_frame(elements: np.ndarray) -> np.ndarray:
@@ -324,23 +327,14 @@ def estimation_pipeline(
 
 
 # ---------------------------------------------------------------------------
-# Counts CSV: rows of "outcome_index,count"
+# Counts file: {"counts": [c_0, ..., c_{K-1}], "meta": {...}}, as tomo-sim writes it
 # ---------------------------------------------------------------------------
 
 def load_counts(path) -> OutcomeCounts:
-    """Read a counts table, skipping ``#`` lines such as ``tomo-sim``'s meta line;
-    a missing or malformed file is a ParameterError naming it."""
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader([ln for ln in fh if not ln.startswith("#")])
-        if next(reader, None) != ["outcome_index", "count"]:
-            raise ParameterError("bad counts header")
-        rows = sorted((int(idx), int(c)) for idx, c in reader)
-        if [idx for idx, _ in rows] != list(range(len(rows))):
-            raise ParameterError("outcome indices must be exactly 0..K-1, each once")
-        counts = tuple(c for _, c in rows)
-        return OutcomeCounts(counts, sum(counts))
-    except FileNotFoundError as exc:
-        raise ParameterError(f"file not found: {path}") from exc
-    except ValueError as exc:  # ParameterError, a row that is not two integers, bad UTF-8
-        raise ParameterError(f"{path}: {exc}") from exc
+    """Read a counts record written from :meth:`OutcomeCounts.to_dict`; a missing
+    or malformed file is a ParameterError naming it."""
+    payload = states.read_json(path)
+    counts = payload.get("counts") if isinstance(payload, dict) else None
+    if not isinstance(counts, list) or not all(type(c) is int and c >= 0 for c in counts):
+        raise ParameterError(f'{path}: expected {{"counts": [nonnegative JSON integers]}}')
+    return OutcomeCounts(tuple(counts), sum(counts))

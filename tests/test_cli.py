@@ -1,9 +1,8 @@
-"""CLI grammar, exit codes, artifact metadata, and sweep behavior."""
+"""CLI grammar, exit codes and artifact metadata."""
 
 import argparse
 import contextlib
 import copy
-import csv
 import io
 import json
 import os
@@ -29,15 +28,6 @@ def read_json(path):
     """Parse an artifact as RFC 8259 JSON: NaN, Infinity and -Infinity are errors."""
     with open(path) as fh:
         return json.load(fh, parse_constant=_reject_constant)
-
-
-def read_sweep_csv(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    assert lines[0].startswith("# meta: ")
-    meta = json.loads(lines[0][len("# meta: "):])
-    rows = list(csv.DictReader(lines[1:]))
-    return meta, rows
 
 
 @pytest.fixture
@@ -163,18 +153,14 @@ class TestScalarCommands:
     @pytest.mark.parametrize("verb", [
         ["f2", "--state", "S", "--iters", "0"], ["f2", "--state", "S", "--iters", "-1"],
         ["fd", "--state", "S", "--D", "3", "--iters", "0"],
-        ["sweep", "--task", "f2", "--values", "0.7", "--iters", "0"],
         ["defclose", "--state", "P", "--restarts", "0"],
         ["defclose", "--state", "P", "--iters", "-1"],
         ["f2", "--state", "S", "--tol", "nan"], ["f2", "--state", "S", "--tol=-1e-9"],
-        ["f2", "--state", "S", "--tol", "inf"],
-        ["sweep", "--task", "tomo-pipeline", "--values", "100", "--state", "S", "--repeats", "0"],
-        ["sweep", "--task", "tomo-pipeline", "--values", "100", "--state", "S", "--repeats", "-1"],
-        ["sweep", "--task", "ppt", "--values", ","]])
+        ["f2", "--state", "S", "--tol", "inf"]])
     def test_empty_search_is_usage_error(self, capsys, tmp_path, werner_file, verb):
         power = tmp_path / "p2.json"
         dk.save_state(dk.tensor_power(dk.werner_state(2, 0.8), 2), power)
-        out = tmp_path / "o.csv"
+        out = tmp_path / "o.json"
         argv = [{"S": werner_file, "P": str(power)}.get(a, a) for a in verb]
         capsys.readouterr()  # drop the fixture's summary line
         assert run(argv + ["--out", str(out)]) == 2
@@ -249,14 +235,7 @@ class TestScalarCommands:
         (["chernoff", "--delta", "inf", "--n", "10", "--cardinality", "4"], "finite delta"),
         (["chernoff", "--delta", "0.1", "--n", str(10 ** 400), "--cardinality", "4"], "overflows"),
         (["definetti-bound", "--d", str(10 ** 400), "--k", "1", "--n", "2"], "overflows"),
-        (["definetti-bound", "--d", "2", "--k", "1", "--n", str(10 ** 400)], "overflows"),
-        (["sweep", "--task", "ppt", "--values", "0.5", "--p", "nan"], "JSON"),
-        (["sweep", "--task", "tomo-pipeline", "--values", "inf", "--p", "0.7"],
-         "positive integers"),
-        (["sweep", "--task", "tomo-pipeline", "--values", "1e400", "--p", "0.7"],
-         "positive integers"),
-        (["sweep", "--task", "tomo-pipeline", "--values", "1.5", "--p", "0.7"],
-         "positive integers")])
+        (["definetti-bound", "--d", "2", "--k", "1", "--n", str(10 ** 400)], "overflows")])
     def test_unrepresentable_number_is_usage_error(self, capsys, tmp_path, verb, message):
         out = tmp_path / "o.json"
         assert run(verb + ["--out", str(out)]) == 2
@@ -276,7 +255,7 @@ class TestScalarCommands:
 
     def test_no_verb_takes_a_format_option(self, werner_file):
         sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        assert len(sub.choices) == 16
+        assert len(sub.choices) == 15
         assert all("--format" not in p._option_string_actions for p in sub.choices.values())
         assert run(["f2", "--state", werner_file, "--format", "csv"]) == 2
 
@@ -285,11 +264,16 @@ class TestScalarCommands:
         seeded = {name for name, p in sub.choices.items() if "--seed" in p._option_string_actions}
         # activate-search keeps an ignored --seed that the benchmark chains still pass
         assert seeded == {"state", "f2", "fd", "ncopy", "defclose", "tomo-sim", "tomo-pipeline",
-                          "activate-search", "sweep"}
+                          "activate-search"}
         out = tmp_path / "o.json"
-        for verb in (["ppt", "--state", werner_file, "--seed", "1"],
-                     ["sweep", "--task", "ppt", "--param", "p", "--values", "0.3"]):
-            assert run(verb + ["--out", str(out)]) == 2 and not out.exists()
+        capsys.readouterr()  # drop the fixture's summary line
+        assert run(["ppt", "--state", werner_file, "--seed", "1", "--out", str(out)]) == 2
+        assert not out.exists()
+        # a sweep is a shell loop over seeded verbs; sweep is an unknown verb, exit 2
+        assert run(["sweep", "--task", "ppt", "--values", "0.3", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid choice: 'sweep'" in captured.err
+        assert not out.exists()
         meta = read_json(Path(werner_file))["meta"]
         assert "seed" in meta
         assert run(["ppt", "--state", werner_file, "--out", str(out)]) == 1
@@ -353,9 +337,8 @@ class TestScalarCommands:
         # d = 1000 would ask for terabytes; the cap is checked before any allocation
         out = tmp_path / "w.json"
         assert run(["state", "--family", "werner", "--d", d, "--p", "0.5", "--out", str(out)]) == 3
-        assert run(["sweep", "--task", "ppt", "--d", d, "--values", "0.5"]) == 3
         err = capsys.readouterr().err
-        assert err.count("\n") == 2 and err.count("exceeds cap 4096") == 2
+        assert err.count("\n") == 1 and err.count("exceeds cap 4096") == 1
         assert not out.exists()
 
     def test_memory_error_is_numeric_error(self, capsys, monkeypatch, werner_file):
@@ -568,12 +551,15 @@ class TestTomographyCommands:
         payload = read_json(out)
         assert len(payload["elements"]) == 4
 
-    def test_tomo_sim_counts_csv(self, tmp_path, werner_file):
-        out = tmp_path / "c.csv"
+    def test_tomo_sim_counts_json(self, tmp_path, werner_file):
+        out = tmp_path / "c.json"
         assert run(["tomo-sim", "--state", werner_file, "--shots", "1000",
                     "--seed", "3", "--out", str(out)]) == 0
+        payload = read_json(out)
+        assert set(payload) == {"counts", "meta"} and len(payload["counts"]) == 16
+        assert payload["meta"]["command"] == "tomo-sim" and payload["meta"]["seed"] == 3
         counts = tomography.load_counts(out)
-        assert counts.shots == 1000
+        assert counts.shots == 1000 and list(counts.counts) == payload["counts"]
 
     def test_tomo_pipeline_verdict(self, tmp_path, werner_file):
         out = tmp_path / "p.json"
@@ -677,65 +663,6 @@ class TestActivationCommands:
                     "--out", str(out)]) == 3
         assert "degenerate post-selection" in capsys.readouterr().err
         assert not out.exists()
-
-
-class TestSweep:
-    def test_f2_sweep_monotone(self, tmp_path):
-        out = tmp_path / "sweep.csv"
-        grid = ",".join(f"{0.1 * i:.12g}" for i in range(11))
-        code = run(["sweep", "--task", "f2", "--values", grid, "--family", "werner", "--d", "2",
-                    "--restarts", "8", "--seed", "7", "--out", str(out)])
-        assert code == 0
-        meta, rows = read_sweep_csv(out)
-        assert meta["command"] == "sweep" and meta["seed"] == 7
-        vals = [float(r["value"]) for r in rows]
-        assert len(vals) == 11
-        assert all(b >= a - 1e-6 for a, b in zip(vals, vals[1:]))
-
-    def test_empty_range_usage_error(self, capsys, tmp_path):
-        out = tmp_path / "s.csv"
-        assert run(["sweep", "--task", "f2", "--values", " , ", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err == "error: sweep needs >= 1 value, got none\n" and not out.exists()
-
-    def test_range_options_are_gone(self, capsys, tmp_path):
-        # a grid is listed with --values; --start/--stop/--step are unknown options
-        out = tmp_path / "s.csv"
-        assert run(["sweep", "--task", "ppt", "--start", "0", "--stop", "1", "--step", "0.5",
-                    "--out", str(out)]) == 2
-        assert run(["sweep", "--task", "ppt", "--values", "0,0.5,1", "--start", "0",
-                    "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "--start" in captured.err and not out.exists()
-
-    def test_range_rows(self, tmp_path):
-        out = tmp_path / "s.csv"
-        grid = ",".join(f"{0.05 * i:.12g}" for i in range(21))
-        assert run(["sweep", "--task", "ppt", "--values", grid,
-                    "--family", "werner", "--d", "2", "--out", str(out)]) == 0
-        _, rows = read_sweep_csv(out)
-        assert [r["p"] for r in rows] == [f"{0.05 * i:.12g}" for i in range(21)]
-
-    def test_shots_sweep_trace_distance_nonincreasing(self, tmp_path, werner_file):
-        out = tmp_path / "shots.csv"
-        code = run(["sweep", "--task", "tomo-pipeline",
-                    "--values", "100,1000,10000,100000", "--state", werner_file,
-                    "--repeats", "20", "--seed", "11", "--out", str(out)])
-        assert code == 0
-        _, rows = read_sweep_csv(out)
-        dists = [float(r["trace_distance"]) for r in rows]
-        assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
-
-    def test_reproducible_scalars(self, tmp_path, werner_file):
-        outs = []
-        for name in ("a.csv", "b.csv"):
-            out = tmp_path / name
-            run(["sweep", "--task", "f2", "--values", "0.7,0.9",
-                 "--family", "werner", "--restarts", "6", "--seed", "3",
-                 "--out", str(out)])
-            _, rows = read_sweep_csv(out)
-            outs.append([r["value"] for r in rows])
-        assert outs[0] == outs[1]
 
 
 def fresh_python(code, *args):

@@ -101,6 +101,11 @@ class TestF2:
             fab = dk.f2(dk.tensor(a, b), restarts=24, seed=i + 100).value
             assert fab >= max(fa, fb) - 1e-6
 
+    def test_werner_grid_nondecreasing(self):
+        vals = [dk.f2(dk.werner_state(2, 0.1 * i), restarts=8, seed=7 + i).value
+                for i in range(11)]
+        assert all(b >= a - 1e-6 for a, b in zip(vals, vals[1:]))
+
     def test_restart_validation(self):
         with pytest.raises(ParameterError):
             dk.f2(phi_state(), restarts=0)

@@ -93,6 +93,8 @@ class TestFamilies:
         ("random_ppt", {"dB": 3}, "dB"), ("werner", {"p": 0.3, "i": 1}, "i"),
         ("random_mixed", {"j": 1}, "j"), ("isotropic", {"p": 0.3, "attempt_cap": 5}, "attempt_cap"),
         ("product_pure", {"attempt_cap": 5}, "attempt_cap"), ("max_entangled", {"q": 1}, "q"),
+        # seeded, product_pure draws random kets, so the basis indices are unread
+        ("product_pure", {"i": 1}, "i"), ("product_pure", {"j": 1}, "j"),
     ])
     def test_unread_parameter_rejected(self, family, params, unread):
         with pytest.raises(ParameterError, match=f"family {family} does not take {unread}$"):

@@ -271,7 +271,7 @@ class TestFrameCap:
         assert traced_peak(build) < 2.0
 
     def test_tomo_sim_over_the_cap_is_exit_3(self, capsys, tmp_path):
-        spath, out = tmp_path / "s.json", tmp_path / "c.csv"
+        spath, out = tmp_path / "s.json", tmp_path / "c.json"
         dk.save_state(dk.BipartiteState(np.eye(72) / 72, 9, 8), spath)
         codes = []
         peak = traced_peak(lambda: codes.append(run(["tomo-sim", "--state", str(spath),
@@ -320,7 +320,7 @@ class TestSimulation:
     def test_tomo_sim_counts_pinned(self, tmp_path, state, seed, shots, expect):
         # outcome (k, l) sits at k * K_B + l and the seed stream is unchanged: these
         # counts were written by the product-frame route
-        spath, out = tmp_path / "s.json", tmp_path / "c.csv"
+        spath, out = tmp_path / "s.json", tmp_path / "c.json"
         dk.save_state(state(), spath)
         assert run(["tomo-sim", "--state", str(spath), "--shots", str(shots),
                     "--seed", str(seed), "--out", str(out)]) == 0
@@ -493,30 +493,23 @@ class TestPipeline:
         assert dataclasses.replace(rep, surrogate=False).to_dict()["surrogate"] is False
 
 
-class TestCountsCsv:
-    @pytest.mark.parametrize("rows", [
-        ["0,5", "0,5", "1,3"],  # duplicate index
-        ["0,5", "2,3"],  # gap
-        ["1,5", "2,3"],  # does not start at 0
-        ["0,5", "1,-3"],  # negative count
-        ["0,1,2"],  # three fields
-        ["0,x"],  # not a number
-        ["0"],  # one field
-        ["0,1.5"],  # not an integer
-        None,  # no file
+class TestCountsFile:
+    @pytest.mark.parametrize("text", [
+        pytest.param("outcome_index,count\n0,5\n", id="csv-table"),
+        pytest.param("[5, 3]", id="top-level-list"),
+        pytest.param('{"meta": {}}', id="no-counts"),
+        pytest.param('{"counts": 5}', id="counts-not-a-list"),
+        pytest.param('{"counts": [5, true]}', id="bool"),
+        pytest.param('{"counts": [5, 1.5]}', id="float"),
+        pytest.param('{"counts": [5, "3"]}', id="string"),
+        pytest.param('{"counts": [5, -3]}', id="negative"),
+        pytest.param(None, id="no-file"),
     ])
-    def test_bad_rows_rejected(self, tmp_path, rows):
-        path = tmp_path / "c.csv"
-        if rows is not None:
-            path.write_text("\n".join(["outcome_index,count"] + rows) + "\n")
-        with pytest.raises(ParameterError, match="c.csv"):
-            tomography.load_counts(path)
-
-    @pytest.mark.parametrize("text", ["", "# c\n"])
-    def test_missing_header_rejected(self, tmp_path, text):
-        path = tmp_path / "c.csv"
-        path.write_text(text)
-        with pytest.raises(ParameterError, match="bad counts header"):
+    def test_malformed_record_rejected(self, tmp_path, text):
+        path = tmp_path / "c.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ParameterError, match="c.json"):
             tomography.load_counts(path)
 
     def test_negative_counts_rejected(self):
@@ -524,8 +517,8 @@ class TestCountsCsv:
             tomography.OutcomeCounts((5, 5, -3), 7)
 
     def test_roundtrip(self, tmp_path):
-        # tomo-sim writes the counts table; the reader skips its "# meta:" line
-        state_path, path = tmp_path / "phi.json", tmp_path / "c.csv"
+        # tomo-sim writes the counts record; the reader leaves its "meta" aside
+        state_path, path = tmp_path / "phi.json", tmp_path / "c.json"
         dk.save_state(phi_state(), state_path)
         assert run(["tomo-sim", "--state", str(state_path), "--shots", "1000", "--seed", "2",
                     "--out", str(path)]) == 0
