@@ -74,7 +74,6 @@ from .tomography import (
     simulate_measurements,
 )
 from .activation import (
-    activation_filters,
     activation_witness,
     apply_activation,
     evaluate_activation,

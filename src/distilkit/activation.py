@@ -2,11 +2,11 @@
 an activator-target pair, the activation sign witness, and its exact minimum
 over all activators.
 
-The witness is read on the target's side, tr[sigma (rho^T (x) Z)] with
-Z = I/2 - phi_2, without forming the filtered state.  By the induced-map
-proportionality identity it equals tr[out Z] for the unnormalized filtered
-output, with constant 1; that identity holds for every valid input, so the
-tests check it and no runtime path re-checks it.
+The protocol projects A1A2 and B1B2 onto |phi> = sum_i |ii>.  Its unnormalized
+two-qubit output is the induced map out = tr_A2B2[(rho^T (x) I) sigma], one
+contraction, so the pair rho (x) sigma (dimension 4 d^4) is never formed.  The
+witness tr[sigma (rho^T (x) Z)], Z = I/2 - phi_2, is tr[out Z].  The tests check
+the induced map against the protocol run on rho (x) sigma; no runtime path does.
 
 Space layout: the activator rho lives on C^d (x) C^d (systems A1|B1); the
 target sigma is a single-pair state with local dimension 2d per side, read as
@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from . import linalg, states
-from .distillability import VIOLATION_TOL, FilterPair, apply_filter_pair, filter_ratio
-from .errors import CapacityError, NumericalError, ParameterError
+from .distillability import DENOM_REG, VIOLATION_TOL
+from .errors import NumericalError, ParameterError
 from .states import BipartiteState, phi_projector
 
 
@@ -40,38 +40,30 @@ def _activator_dim(rho: BipartiteState, sigma: BipartiteState) -> int:
     return d
 
 
-def _merge_pairs(x: BipartiteState, y: BipartiteState) -> BipartiteState:
-    """x (x) y as one pair (Ax Ay | Bx By); the cap is checked before the product."""
-    states.power_dim(x.dim * y.dim, 1)
-    raw = states.kron(x.data, y.data)  # order Ax Bx Ay By
-    mat = linalg.permute_factors(raw, (x.dimA, x.dimB, y.dimA, y.dimB), (0, 2, 1, 3))
-    return BipartiteState(mat, x.dimA * y.dimA, x.dimB * y.dimB)
-
-
 def pair_product(tau: BipartiteState, kappa: BipartiteState) -> BipartiteState:
-    """Assemble a target from a d x d factor on A2B2 and a 2 x 2 factor on A3B3."""
+    """Assemble a target from a d x d factor on A2B2 and a 2 x 2 factor on A3B3,
+    as one pair (A2A3 | B2B3); the cap is checked before the product."""
     if kappa.dimA != 2 or kappa.dimB != 2 or kappa.pairs != 1 or tau.pairs != 1:
         raise ParameterError("need a single-pair d x d factor and a single-pair qubit factor")
     if tau.dimB != tau.dimA:
         raise ParameterError("A2B2 factor must be square (d x d)")
-    return _merge_pairs(tau, kappa)
-
-
-def activation_filters(d: int) -> FilterPair:
-    """Projections onto the unnormalized |phi> = sum_i |ii> on A1A2 (resp. B1B2),
-    acting as the identity on A3 (resp. B3); A A^dag = d * I."""
-    if d < 2:
-        raise ParameterError("need d >= 2")
-    a = states.kron(np.eye(d).reshape(1, -1), np.eye(2))  # vec(I_d)^T (x) I_2
-    return FilterPair(a, a)
+    states.power_dim(tau.dim * kappa.dim, 1)
+    raw = states.kron(tau.data, kappa.data)  # order A2 B2 A3 B3
+    mat = linalg.permute_factors(raw, (tau.dimA, tau.dimB, 2, 2), (0, 2, 1, 3))
+    return BipartiteState(mat, 2 * tau.dimA, 2 * tau.dimB)
 
 
 def apply_activation(rho: BipartiteState, sigma: BipartiteState) -> tuple[np.ndarray, float]:
-    """Post-selected two-qubit operator (unnormalized) and its success weight on
-    rho (x) sigma, read as one pair (A1 A2A3 | B1 B2B3); NumericalError when the
-    projection annihilates the state."""
+    """Post-selected two-qubit operator (unnormalized) and its trace, the success weight:
+    out[(a3 b3), (a3' b3')] = sum rho[(i j), (k l)] sigma[(i a3 j b3), (k a3' l b3')].
+    NumericalError when the projection annihilates the pair."""
     d = _activator_dim(rho, sigma)
-    return apply_filter_pair(_merge_pairs(rho, sigma), activation_filters(d))
+    out = np.einsum("ijkl,iajbkcle->abce", rho.data.reshape((d,) * 4),
+                    sigma.data.reshape((d, 2) * 4)).reshape(4, 4)
+    weight = float(np.real(np.trace(out)))
+    if not weight > DENOM_REG:
+        raise NumericalError("degenerate post-selection: the filters annihilate the state")
+    return out, weight
 
 
 def _pairing_matrix(sigma: BipartiteState, z: np.ndarray) -> np.ndarray:
@@ -83,7 +75,8 @@ def _pairing_matrix(sigma: BipartiteState, z: np.ndarray) -> np.ndarray:
     return linalg.hermitize(m)
 
 
-_WITNESS_Z = np.eye(4) / 2.0 - phi_projector(2)
+_PHI2 = phi_projector(2)
+_WITNESS_Z = np.eye(4) / 2.0 - _PHI2
 
 
 def activation_witness(rho: BipartiteState, sigma: BipartiteState) -> float:
@@ -96,10 +89,10 @@ def activation_witness(rho: BipartiteState, sigma: BipartiteState) -> float:
 def evaluate_activation(rho: BipartiteState, sigma: BipartiteState) -> tuple[float, float, float]:
     """(witness, filtered phi_2 fidelity, success weight) of activator rho on target
     sigma; the fidelity exceeds 1/2 exactly when the witness is negative.
-    NumericalError when the projection annihilates the state."""
+    NumericalError when the projection annihilates the pair."""
     witness = activation_witness(rho, sigma)
-    overlap, weight = filter_ratio(_merge_pairs(rho, sigma), activation_filters(rho.dimA))
-    return witness, overlap / weight, weight
+    out, weight = apply_activation(rho, sigma)
+    return witness, float(np.real(np.trace(out @ _PHI2))) / weight, weight
 
 
 @dataclass
@@ -142,8 +135,9 @@ def search_activator(sigma: BipartiteState) -> ActivationSearchReport:
     v = evecs[:, 0]
     rho = BipartiteState(np.outer(v, v.conj()).T, d, d)
     try:
-        _, fidelity, weight = evaluate_activation(rho, sigma)
-    except (NumericalError, CapacityError):  # a degenerate or an over-cap merged pair
+        out, weight = apply_activation(rho, sigma)
+        fidelity = float(np.real(np.trace(out @ _PHI2))) / weight
+    except NumericalError:  # a degenerate post-selection
         fidelity = weight = None
     return ActivationSearchReport(rho, float(evals[0]), fidelity, weight,
                                   budget_exhausted=not evals[0] < -VIOLATION_TOL,

@@ -29,7 +29,8 @@ F2_VERDICT_TOL = 1e-6
 
 
 def _meta(args: argparse.Namespace) -> dict:
-    options = {k: v for k, v in vars(args).items() if k not in ("func", "out") and v is not None}
+    options = {k: v for k, v in vars(args).items()
+               if k not in ("func", "out", "command", "seed") and v is not None}
     seeded = {"seed": args.seed} if "seed" in vars(args) else {}
     return {**seeded, "version": __version__, "command": args.command, "options": options}
 

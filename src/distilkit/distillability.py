@@ -321,13 +321,6 @@ def fD(
 # Schmidt-rank-2 negativity search (single-copy distillability)
 # ---------------------------------------------------------------------------
 
-def _global_cut_pt(state: BipartiteState) -> np.ndarray:
-    """rho^T_B on the global A|B cut as a (dA, dB, dA, dB) tensor: transposing the
-    aggregated B index transposes every B factor.  The copy is C-ordered because
-    einsum's summation order, and so the searches' rounding, follows the layout."""
-    return np.ascontiguousarray(to_global_cut(state).transpose(0, 3, 2, 1))
-
-
 def _subspace_step(pt4, basis, side):
     """Exact minimum of <psi|PT|psi> over psi supported on one fixed local 2-space."""
     if side == "B":
@@ -360,8 +353,8 @@ def single_copy_distillable(
     """
     if budget < 1:
         raise ParameterError("need budget >= 1")
-    pt4 = _global_cut_pt(state)
-    dA, dB = pt4.shape[:2]
+    dA, dB = state.dimA ** state.pairs, state.dimB ** state.pairs
+    pt4 = states.partial_transpose(state).reshape(dA, dB, dA, dB)
 
     rng = np.random.default_rng(seed)
     best_val, best_vec, best_attempt, sweeps = np.inf, None, None, []
@@ -411,9 +404,8 @@ def is_ppt(state: BipartiteState) -> tuple[bool, float]:
 
 def evaluate_schmidt_certificate(state: BipartiteState, vector: np.ndarray) -> float:
     """Re-evaluate a Schmidt-rank-2 certificate: <psi| rho^T_B |psi> on the global cut."""
-    pt4 = _global_cut_pt(state)
     v = np.asarray(vector, dtype=complex).reshape(-1)
-    return float(np.real(v.conj() @ pt4.reshape(v.size, v.size) @ v))
+    return float(np.real(v.conj() @ states.partial_transpose(state) @ v))
 
 
 def schmidt_rank2_filters(vector: np.ndarray, dA: int, dB: int) -> FilterPair:

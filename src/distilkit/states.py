@@ -295,15 +295,12 @@ def partial_trace(state: BipartiteState, keep: set[int]) -> BipartiteState:
 
 
 def partial_transpose(state: BipartiteState) -> np.ndarray:
-    """Transpose every B factor (the global A|B cut); returns a raw Hermitian matrix."""
-    dims = state.factor_dims
-    n = len(dims)
-    full = state.data.reshape(dims + dims)
-    axes = list(range(2 * n))
-    for p in range(state.pairs):
-        b = 2 * p + 1
-        axes[b], axes[n + b] = axes[n + b], axes[b]
-    return full.transpose(axes).reshape(state.dim, state.dim)
+    """rho^Gamma across the global A|B cut, a raw Hermitian matrix whose rows and
+    columns run over (A1..Ak, B1..Bk): transposing the aggregated B index transposes
+    every B factor.  The copy is C-ordered because einsum's summation order, and so
+    the searches' rounding, follows the layout."""
+    pt4 = to_global_cut(state).transpose(0, 3, 2, 1)
+    return np.ascontiguousarray(pt4).reshape(state.dim, state.dim)
 
 
 def trace_distance(a: BipartiteState, b: BipartiteState) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from distilkit import BipartiteState, Frame, activation, distillability, linalg
+from distilkit import BipartiteState, Frame, distillability, linalg
 from distilkit.errors import NumericalError, ParameterError
 from distilkit.states import power_dim, to_global_cut
 
@@ -94,14 +94,22 @@ def sweep_double_twirl(mat: np.ndarray, dimA: int, dimB: int, k: int) -> np.ndar
     return t.reshape(mat.shape) / math.factorial(k) ** 2
 
 
-def pt_reference(mat: np.ndarray, dimA: int, dimB: int) -> np.ndarray:
-    """Partial transpose on B of a single-pair operator, by explicit loops."""
-    out = np.zeros_like(np.asarray(mat, dtype=complex))
-    for a in range(dimA):
-        for b in range(dimB):
-            for ap in range(dimA):
-                for bp in range(dimB):
-                    out[a * dimB + b, ap * dimB + bp] = mat[a * dimB + bp, ap * dimB + b]
+def global_cut_pt_reference(mat: np.ndarray, dimA: int, dimB: int, pairs: int) -> np.ndarray:
+    """rho^Gamma on the global A|B cut of a k-pair operator, entry by entry: with
+    a, a' the A digits and b, b' the B digits of a row and a column, entry
+    [(a b), (a' b')] is mat[(a1 b1' ... ak bk'), (a1' b1 ... ak' bk)] in the
+    pair-major order."""
+    dims = (dimA, dimB) * pairs
+
+    def pair_major(a, b):
+        return np.ravel_multi_index(tuple(itertools.chain(*zip(a, b))), dims)
+
+    cut = [(a, b) for a in itertools.product(range(dimA), repeat=pairs)
+           for b in itertools.product(range(dimB), repeat=pairs)]
+    out = np.zeros((len(cut), len(cut)), dtype=complex)
+    for r, (a, b) in enumerate(cut):
+        for c, (ap, bp) in enumerate(cut):
+            out[r, c] = mat[pair_major(a, bp), pair_major(ap, b)]
     return out
 
 
@@ -226,13 +234,27 @@ def pairing_by_matrix_units(sigma: BipartiteState, z: np.ndarray) -> np.ndarray:
     return m
 
 
+def protocol_by_filters(rho: BipartiteState, sigma: BipartiteState) -> np.ndarray:
+    """The activation protocol as it is run: the pair rho (x) sigma by ``np.kron``,
+    in the factor order A1 B1 (A2 A3) (B2 B3), conjugated by the local filters
+    F = vec(I_d)^T (x) I_2 on A1 (A2 A3) and on B1 (B2 B3), built with ``np.kron``;
+    F (x) F is permuted to the pair's factor order.  Returns the unnormalized
+    two-qubit output."""
+    d = rho.dimA
+    f = np.kron(np.eye(d).reshape(1, -1), np.eye(2))  # (2, d * 2d), <i|_A1 <i|_A2 (x) I_A3
+    ff = np.kron(f, f).reshape(4, d, 2 * d, d, 2 * d)  # columns A1 (A2 A3) B1 (B2 B3)
+    op = ff.transpose(0, 1, 3, 2, 4).reshape(4, -1)  # columns A1 B1 (A2 A3) (B2 B3)
+    return op @ np.kron(rho.data, sigma.data) @ op.conj().T
+
+
 def jam_check(rho: BipartiteState, sigma: BipartiteState, trials: int = 20,
               seed: int | None = None) -> tuple[float, float]:
     """Induced-map proportionality tr[out Z] = c tr[sigma (rho^T (x) Z)] over random
-    positive Z, with ``out`` the library's filtered output and the right side paired
-    by matrix units; returns (c, largest relative deviation across Z)."""
+    positive Z, with ``out`` the physical protocol's output (``protocol_by_filters``)
+    and the right side paired by matrix units; returns (c, largest relative
+    deviation across Z)."""
     rng = np.random.default_rng(seed)
-    out, _ = activation.apply_activation(rho, sigma)
+    out = protocol_by_filters(rho, sigma)
     ratios = []
     for _ in range(trials):
         z = linalg.random_density(rng, 4) * (1.0 + 3.0 * rng.random())

@@ -1,5 +1,6 @@
-"""Activation protocol: filters, induced-map proportionality (against the
-oracle in conftest), sign witness, and activator search."""
+"""Activation protocol: the induced map against the physical protocol and the
+index-contraction oracle, induced-map proportionality (against the oracle in
+conftest), sign witness, and activator search."""
 
 import itertools
 
@@ -9,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 import distilkit as dk
 from distilkit import linalg
-from distilkit.errors import CapacityError, NumericalError, ParameterError
+from distilkit.distillability import DENOM_REG
+from distilkit.errors import NumericalError, ParameterError
 
-from conftest import jam_check, pairing_by_matrix_units, random_state
+from conftest import jam_check, pairing_by_matrix_units, protocol_by_filters, random_state
 
 PHI2 = dk.phi_projector(2)
 
@@ -54,24 +56,6 @@ def separable_product_target(rng, d=2, terms=4) -> dk.BipartiteState:
     return dk.BipartiteState(acc, size, size)
 
 
-class TestActivationFilters:
-    def test_shape_and_normalization(self):
-        fp = dk.activation_filters(2)
-        assert fp.A.shape == (2, 8)
-        assert np.max(np.abs(fp.A @ fp.A.conj().T - 2 * np.eye(2))) < 1e-12
-
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_matches_bra_phi_construction(self, d):
-        # reference: A = sum_i <i|_{A1} <i|_{A2} (x) I_{A3} with index (a1, a2, a3)
-        fp = dk.activation_filters(d)
-        ref = np.zeros((2, 2 * d * d), dtype=complex)
-        for i in range(d):
-            for beta in range(2):
-                ref[beta, i * (2 * d) + i * 2 + beta] = 1.0
-        for f in (fp.A, fp.B):
-            assert f.dtype == ref.dtype and f.tobytes() == ref.tobytes()
-
-
 class TestApplyActivation:
     def test_matches_contraction_oracle(self, rng):
         d = 2
@@ -81,6 +65,34 @@ class TestApplyActivation:
         ref = protocol_output_reference(rho.data, sigma.data, d)
         assert np.max(np.abs(out - ref)) < 1e-12
         assert abs(weight - np.trace(ref).real) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_matches_the_physical_protocol(self, d, rng):
+        rho, sigma = random_state(rng, d, d), random_state(rng, 2 * d, 2 * d)
+        out, weight = dk.apply_activation(rho, sigma)
+        ref = protocol_by_filters(rho, sigma)
+        assert np.max(np.abs(out - ref)) <= 1e-13
+        assert abs(weight - np.trace(ref).real) <= 1e-13
+
+    @pytest.mark.parametrize("d", [6, 8])
+    def test_above_the_merged_cap(self, d, rng):
+        # rho (x) sigma would be one pair of dimension 4 d^4 (5184, 16384), above the
+        # cap; the induced map never forms it
+        tau = random_state(rng, d, d)
+        noisy = dk.BipartiteState(0.6 * dk.pair_product(tau, phi_state(2)).data
+                                  + 0.4 * np.eye(4 * d * d) / (4 * d * d), 2 * d, 2 * d)
+        signs = set()
+        for sigma in (random_state(rng, 2 * d, 2 * d), noisy):
+            for rho in (random_state(rng, d, d), phi_state(d), dk.search_activator(sigma).rho):
+                out, weight = dk.apply_activation(rho, sigma)
+                ref = protocol_output_reference(rho.data, sigma.data, d)
+                assert np.max(np.abs(out - ref)) <= 1e-13
+                witness, fidelity, w = dk.evaluate_activation(rho, sigma)
+                assert w == weight and np.isfinite(fidelity)
+                if abs(witness) > 1e-9:
+                    assert (witness < 0) == (fidelity > 0.5)
+                    signs.add(witness < 0)
+        assert signs == {True, False}
 
     def test_maximally_entangled_activator_teleports(self, rng):
         d = 2
@@ -271,7 +283,8 @@ class TestPairingMatrix:
 
 
 class TestMergeCap:
-    """rho (x) sigma is one pair of dimension 4 d^4: d <= 5 fits the cap, d = 6 does not."""
+    """rho (x) sigma would be one pair of dimension 4 d^4, above the cap from d = 6 on;
+    the activation never forms it."""
 
     @staticmethod
     def pair(rng, d):
@@ -281,16 +294,13 @@ class TestMergeCap:
         # a d = 6 target is small; only its merge with an activator passes the cap
         assert dk.pair_product(phi_state(6), phi_state(2)).dim == 144
 
-    def test_over_cap_merge_is_a_capacity_error(self, rng):
-        rho, sigma = self.pair(rng, 6)
-        for call in (dk.apply_activation, dk.evaluate_activation):
-            with pytest.raises(CapacityError, match="5184"):
-                call(rho, sigma)
-
     def test_search_above_the_cap_keeps_the_exact_witness(self, rng):
         _, sigma = self.pair(rng, 6)
         rep = dk.search_activator(sigma)
-        assert rep.fidelity is None and rep.success_weight is None
+        ref = protocol_output_reference(rep.rho.data, sigma.data, 6)
+        weight = np.trace(ref).real
+        assert weight > DENOM_REG and abs(rep.success_weight - weight) < 1e-12
+        assert abs(rep.fidelity - np.trace(ref @ PHI2).real / weight) < 1e-12
         evals = np.linalg.eigvalsh(pairing_by_matrix_units(sigma, np.eye(4) / 2 - dk.phi_projector(2)))
         assert abs(rep.witness - evals[0]) < 1e-12 and abs(rep.gap - (evals[1] - evals[0])) < 1e-12
         assert abs(dk.activation_witness(rep.rho, sigma) - rep.witness) < 1e-12

@@ -15,9 +15,9 @@ from distilkit.errors import CapacityError, ParameterError, SamplingError
 from distilkit.states import kron, kron_power
 
 from conftest import (
+    global_cut_pt_reference,
     partial_trace_reference,
     per_entry_pairs,
-    pt_reference,
     random_state,
     signed_zero_matrix,
 )
@@ -38,12 +38,12 @@ class TestFamilies:
         psi[1], psi[2] = 1 / np.sqrt(2), -1 / np.sqrt(2)
         assert np.max(np.abs(w.data - np.outer(psi, psi.conj()))) < 1e-12
         assert abs(np.trace(w.data @ w.data).real - 1.0) < 1e-12  # pure
-        assert np.linalg.eigvalsh(pt_reference(w.data, 2, 2))[0] < -0.4  # entangled
+        assert np.linalg.eigvalsh(global_cut_pt_reference(w.data, 2, 2, 1))[0] < -0.4  # entangled
 
     def test_werner_075_is_npt(self):
         # oracle: eigendecomposition of the explicitly-built 4x4 partial transpose
         w = dk.construct_state(spec("werner", d=2, p=0.75))
-        lo = np.linalg.eigvalsh(pt_reference(w.data, 2, 2))[0]
+        lo = np.linalg.eigvalsh(global_cut_pt_reference(w.data, 2, 2, 1))[0]
         assert lo < -1e-6
         assert abs(lo - (1 - 2 * 0.75) / 2) < 1e-12
 
@@ -279,12 +279,9 @@ class TestPartialTranspose:
         assert np.array_equal(back, s.data)
 
     def test_matches_reference_on_multi_pair(self, rng):
+        # reference: rho^Gamma on the global cut (A1 A2 | B1 B2), entry by entry
         s = random_state(rng, 2, 2, pairs=2)
-        pt = dk.partial_transpose(s)
-        # reference: transpose B of each pair = iterate single-pair reference on indices
-        full = s.data.reshape(2, 2, 2, 2, 2, 2, 2, 2)
-        ref = full.transpose(0, 5, 2, 7, 4, 1, 6, 3).reshape(16, 16)
-        assert np.max(np.abs(pt - ref)) < 1e-15
+        assert np.array_equal(dk.partial_transpose(s), global_cut_pt_reference(s.data, 2, 2, 2))
 
 
 class TestTraceDistance:
