@@ -71,6 +71,88 @@ def _orbit_table(dims: tuple[int, ...], k: int) -> tuple[np.ndarray, np.ndarray]
     return labels, sizes
 
 
+def _partitions(k: int, largest: int | None = None):
+    """Partitions of k with no part above ``largest`` (default k), largest part
+    first, in reverse lexicographic order: (k), (k-1, 1), ..., (1, ..., 1)."""
+    if k == 0:
+        yield ()
+        return
+    for first in range(min(k, largest or k), 0, -1):
+        for rest in _partitions(k - first, first):
+            yield (first,) + rest
+
+
+def _semistandard_tableaux(shape: tuple[int, ...], m: int) -> list[tuple[int, ...]]:
+    """Semistandard tableaux of ``shape`` with entries in range(m), each as its
+    entries read row by row: rows weakly increase, columns strictly increase."""
+    cells = [(i, j) for i, r in enumerate(shape) for j in range(r)]
+    at = {cell: n for n, cell in enumerate(cells)}
+    out = []
+
+    def fill(prefix):
+        if len(prefix) == len(cells):
+            out.append(tuple(prefix))
+            return
+        i, j = cells[len(prefix)]
+        lo = max(prefix[at[i, j - 1]] if j else 0, prefix[at[i - 1, j]] + 1 if i else 0)
+        for v in range(lo, m):
+            fill(prefix + [v])
+
+    fill([])
+    return out
+
+
+def _signed_group_sum(x: np.ndarray, axes: list[int], sign: int) -> np.ndarray:
+    """The sum of ``x`` with its ``axes`` permuted in every order, each term
+    times the order's parity when ``sign`` is -1.  Every permutation of S_j is
+    (i j) sigma for one i <= j and one sigma of S_{j-1}, so the sum is the
+    product T_r ... T_2 with T_j = 1 + sign sum_{i<j} (i j): r(r-1)/2 axis
+    swaps in place of r! permutations."""
+    for n, j in enumerate(axes[1:], 1):
+        acc = x.copy()
+        for i in axes[:n]:
+            acc += sign * x.swapaxes(i, j)
+        x = acc
+    return x
+
+
+@functools.lru_cache(maxsize=8)
+def _young_bases(pair_dim: int, k: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Orthonormal real bases B_lambda of the ranges of the Young symmetrizers
+    a_lambda b_lambda of the canonical tableaux (slots numbered row by row), one
+    per partition lambda of k with at most pair_dim rows, in the order of
+    :func:`_partitions`: side by side as one read-only ``(pair_dim^k, sum d)``
+    array, and the widths d_lambda.
+
+    Each range is one copy of the GL(pair_dim) irrep lambda, of dimension
+    d_lambda(pair_dim) (hook-content formula), and every operator that commutes
+    with the pair permutations maps it into itself; so the blocks B^T S B of such
+    an S carry all of its eigenvalues.  The range is spanned by the images of the
+    d_lambda semistandard-tableau basis tensors under the column antisymmetrizer
+    b_lambda and then the row symmetrizer a_lambda, each applied factored as axis
+    swaps (:func:`_signed_group_sum`); one QR per partition orthonormalizes them.
+    """
+    blocks = []
+    for shape in _partitions(k):
+        if len(shape) > pair_dim:
+            continue
+        # axis 0 of x runs over the tableaux, so slot s is axis s + 1
+        ends = np.cumsum(shape)
+        rows = [list(range(end - r + 1, end + 1)) for r, end in zip(shape, ends)]
+        cols = [[row[j] for row in rows if j < len(row)] for j in range(shape[0])]
+        tableaux = np.array(_semistandard_tableaux(shape, pair_dim))
+        x = np.zeros((len(tableaux),) + (pair_dim,) * k)
+        x[(np.arange(len(tableaux)),) + tuple(tableaux.T)] = 1.0
+        for axes in cols:
+            x = _signed_group_sum(x, axes, -1)
+        for axes in rows:
+            x = _signed_group_sum(x, axes, 1)
+        blocks.append(np.linalg.qr(x.reshape(len(tableaux), -1).T)[0])
+    basis = np.hstack(blocks)
+    basis.setflags(write=False)
+    return basis, tuple(b.shape[1] for b in blocks)
+
+
 def _orbit_average(mat: np.ndarray, dims: tuple[int, ...], k: int) -> np.ndarray:
     """Group average of a square matrix over S_k^f (see :func:`_orbit_table`), as a
     complex array; one slot (k = 1), or slots of dimension 1, return the input.

@@ -1,5 +1,6 @@
 """See-saw singlet fraction, Schmidt-rank-2 searches, PPT, dual-cone checks."""
 
+import inspect
 import json
 
 import numpy as np
@@ -127,6 +128,19 @@ class TestF2:
             dk.f2(w, tol=tol, seed=0)
         with pytest.raises(ParameterError, match="tol"):
             dk.fD(w, 3, tol=tol, seed=0)
+
+    def test_search_options_are_keyword_only_in_one_order(self):
+        # a positional call could swap the seed and the tolerance between the two
+        w = dk.werner_state(2, 0.7)
+        with pytest.raises(TypeError):
+            dk.f2(w, 4)
+        with pytest.raises(TypeError):
+            dk.fD(w, 3, 4)
+        options = ["restarts", "iters", "tol", "seed"]
+        for fn, head in ((dk.f2, ["state"]), (dk.fD, ["state", "D"])):
+            params = inspect.signature(fn).parameters
+            assert list(params) == head + options
+            assert all(params[name].kind is inspect.Parameter.KEYWORD_ONLY for name in options)
 
     def test_annihilating_first_start_restarts(self):
         # |22><22| lies outside the embedding start's span{0, 1} (x) span{0, 1}; the
@@ -622,6 +636,45 @@ class TestSymmetricDualPositive:
         flag1, _ = dk.symmetric_dual_positive(q, 2, 2, 2)
         flag2, _ = dk.symmetric_dual_positive(symmetrize_matrix(q, 4, 2), 2, 2, 2)
         assert flag1 == flag2
+
+
+class TestDualBlocksAgainstDense:
+    """The block route of the dual-cone test against dense eigensolves of the
+    group average: ``explicit_twirl`` builds every permutation matrix and shares
+    no code with the library; at 5 pairs numpy's dense solve of the library's
+    average stands in for it."""
+
+    @staticmethod
+    def check(q, dimA, dimB, pairs, reference):
+        ref = np.linalg.eigvalsh(reference)[0]
+        flag, lo = dk.symmetric_dual_positive(q, dimA, dimB, pairs)
+        assert abs(lo - ref) < 1e-12
+        assert flag == (ref >= -1e-9)
+
+    @pytest.mark.parametrize("dimA,dimB,pairs", [(1, 1, 3), (2, 1, 4), (2, 2, 1), (2, 2, 2),
+                                                 (2, 2, 3), (2, 2, 4), (3, 1, 3), (2, 3, 2)])
+    def test_value_and_verdict_match_the_explicit_twirl(self, rng, dimA, dimB, pairs):
+        m = dimA * dimB
+        q = linalg.random_hermitian(rng, m ** pairs)
+        twirl = explicit_twirl(q, m, pairs)
+        lo = np.linalg.eigvalsh(twirl)[0]
+        for shift in (0.0, 0.5 - lo):  # both verdicts
+            eye = np.eye(m ** pairs)
+            self.check(q + shift * eye, dimA, dimB, pairs, twirl + shift * eye)
+
+    def test_five_pairs_match_the_dense_solve(self, rng):
+        q = linalg.random_hermitian(rng, 4 ** 5)
+        sq = symmetrize_matrix(q, 4, 5)
+        lo = np.linalg.eigvalsh(sq)[0]
+        for shift in (0.0, 0.5 - lo):
+            self.check(q + shift * np.eye(4 ** 5), 2, 2, 5, sq + shift * np.eye(4 ** 5))
+
+    @pytest.mark.parametrize("pairs", [3, 4])
+    def test_witness_pairs_to_the_least_eigenvalue(self, rng, pairs):
+        q = linalg.random_hermitian(rng, 4 ** pairs)
+        lo = np.linalg.eigvalsh(explicit_twirl(q, 4, pairs))[0]
+        omega = dk.negative_symmetric_witness(q, 2, 2, pairs)
+        assert abs(np.trace(q @ omega.data).real - lo) < 1e-12
 
 
 DUAL_UTILITIES = [dk.symmetric_dual_positive, dk.negative_symmetric_witness]

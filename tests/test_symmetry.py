@@ -13,7 +13,7 @@ from scipy import optimize
 import distilkit as dk
 from distilkit import linalg
 from distilkit.errors import CapacityError, ParameterError
-from distilkit.symmetry import _orbit_table, _weight_step, symmetrize_matrix
+from distilkit.symmetry import _orbit_table, _weight_step, _young_bases, symmetrize_matrix
 
 from conftest import (Permutation, all_permutations, explicit_twirl, permutation_operator,
                       random_state, sweep_double_twirl, sweep_twirl)
@@ -227,6 +227,86 @@ class TestOrbitSums:
         assert labels.min() == 0 and sizes.min() >= 1 and sizes.sum() == labels.size
         assert sizes.max() == math.factorial(k) ** len(dims)
         assert _orbit_table(dims, k)[0] is labels and not labels.flags.writeable
+
+
+def shapes_of(k, rows):
+    """Partitions of k with at most ``rows`` parts, in reverse lexicographic order."""
+    found = {tuple(sorted(c, reverse=True)) for n in range(1, min(k, rows) + 1)
+             for c in itertools.product(range(1, k + 1), repeat=n) if sum(c) == k}
+    return sorted(found, reverse=True)
+
+
+def hooks(shape):
+    cols = [sum(1 for r in shape if r > j) for j in range(shape[0])]
+    return [(r - j - 1) + (cols[j] - i - 1) + 1 for i, r in enumerate(shape) for j in range(r)]
+
+
+def hook_content_dim(shape, m):
+    """d_lambda(m) = prod over cells (m + j - i) / hook(i, j)."""
+    num = math.prod(m + j - i for i, r in enumerate(shape) for j in range(r))
+    return num // math.prod(hooks(shape))
+
+
+def hook_length_count(shape):
+    """f_lambda = k! / prod of hooks, the dimension of the S_k irrep."""
+    return math.factorial(sum(shape)) // math.prod(hooks(shape))
+
+
+def young_blocks(m, k):
+    """The cached bases split into one (m^k, d_lambda) block per partition."""
+    basis, widths = _young_bases(m, k)
+    return np.split(basis, np.cumsum(widths)[:-1], axis=1)
+
+
+class TestYoungBases:
+    """The Young-symmetrizer bases against the hook formulas and the GL(m) action."""
+
+    CASES = [(1, 3), (2, 4), (3, 3), (4, 2), (4, 3), (4, 4), (4, 5), (6, 2), (3, 5)]
+
+    @pytest.mark.parametrize("m,k", CASES)
+    def test_dimensions_follow_the_hook_formulas(self, m, k):
+        shapes = shapes_of(k, m)
+        dims = [hook_content_dim(s, m) for s in shapes]
+        assert [b.shape for b in young_blocks(m, k)] == [(m ** k, d) for d in dims]
+        assert sum(d * hook_length_count(s) for s, d in zip(shapes, dims)) == m ** k
+
+    @pytest.mark.parametrize("k,sizes", [(2, (10, 6)), (3, (20, 20, 4)),
+                                         (4, (35, 45, 20, 15, 1)), (5, (56, 84, 60, 36, 20, 4))])
+    def test_block_sizes_of_2x2_pairs(self, k, sizes):
+        assert _young_bases(4, k)[1] == sizes
+
+    @pytest.mark.parametrize("m,k", CASES)
+    def test_orthonormal_read_only_and_cached(self, m, k):
+        basis, widths = _young_bases(m, k)
+        assert basis.dtype == float and not basis.flags.writeable
+        for b in young_blocks(m, k):
+            assert not b.flags.writeable
+            assert np.max(np.abs(b.T @ b - np.eye(b.shape[1]))) < 1e-13
+        assert _young_bases(m, k)[0] is basis
+
+    @pytest.mark.parametrize("m,k", [(2, 4), (3, 3), (4, 3)])
+    def test_ranges_are_orthogonal_gl_modules(self, rng, m, k):
+        # U^(x k) maps each range into itself; distinct shapes are orthogonal
+        u = linalg.random_isometry_cols(rng, m, m)
+        power = u
+        for _ in range(k - 1):
+            power = np.kron(power, u)
+        blocks = young_blocks(m, k)
+        for i, b in enumerate(blocks):
+            moved = power @ b
+            assert np.max(np.abs(moved - b @ (b.T @ moved))) < 1e-12
+            for other in blocks[i + 1:]:
+                assert np.max(np.abs(b.T @ other)) < 1e-13
+
+    def test_build_forms_no_full_size_matrix(self):
+        # the bases take 2 MiB; a dense 1024 x 1024 float symmetrizer alone would take 8
+        tracemalloc.start()
+        try:
+            _young_bases.__wrapped__(4, 5)
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak < 6 * 2 ** 20
 
 
 class TestOwnership:
