@@ -76,7 +76,7 @@ def cmd_fd(args) -> int:
     if not 1.0 / args.D <= lam < 1.0:
         raise ParameterError(f"lambda must lie in [1/{args.D}, 1)")
     rep = distillability.fD(state, args.D, restarts=args.restarts,
-                            iters=args.iters, seed=args.seed)
+                            iters=args.iters, tol=args.tol, seed=args.seed)
     payload = rep.to_dict()
     payload["D"] = args.D
     payload["lambda"] = lam
@@ -236,6 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, default=None)
     p.add_argument("--restarts", type=int, default=distillability.DEFAULT_RESTARTS)
     p.add_argument("--iters", type=int, default=distillability.DEFAULT_ITERS)
+    p.add_argument("--tol", type=float, default=distillability.DEFAULT_TOL)
 
     p = add("ppt", cmd_ppt, seeded=False, help="partial-transpose positivity test")
     p.add_argument("--state", required=True)

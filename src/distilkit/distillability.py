@@ -79,6 +79,9 @@ class WitnessReport:
     iterations: Optional[list] = None
     redraws: Optional[list] = None
     best_restart: Optional[int] = None
+    #: how ``value`` was obtained: "search", or "ppt_proof" for the see-saw's
+    #: rank-1 floor row alone, run because rho^Gamma >= 0 was proved
+    route: str = "search"
 
     def to_dict(self) -> dict:
         cert = self.certificate
@@ -97,6 +100,7 @@ class WitnessReport:
             "iterations": self.iterations,
             "redraws": self.redraws,
             "best_restart": self.best_restart,
+            "route": self.route,
         }
 
 
@@ -179,6 +183,21 @@ def _rayleigh_step(rho4: np.ndarray, other: np.ndarray, t: int, side: str) -> tu
     return new / np.linalg.norm(new, axis=(-2, -1), keepdims=True), w[..., -1]
 
 
+def _rank1_floor(rho4: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """A = |0><a|, B = |0><b|, with a the top eigenvector of rho_A and b that of
+    <a|rho|a>: it reaches exactly 1/t whenever <ab|rho|ab> > 0."""
+    dA, dB = rho4.shape[:2]
+    redA = np.trace(rho4, axis1=1, axis2=3)  # tr_B -> (dA, dA)
+    a = np.linalg.eigh(linalg.hermitize(redA))[1][:, -1]
+    cond = np.einsum("a,abcd,c->bd", a.conj(), rho4, a)
+    b = np.linalg.eigh(linalg.hermitize(cond))[1][:, -1]
+    A = np.zeros((t, dA), dtype=complex)
+    B = np.zeros((t, dB), dtype=complex)
+    A[0, :] = a.conj()
+    B[0, :] = b.conj()
+    return A, B
+
+
 def _fd_seesaw(
     state: BipartiteState,
     t: int,
@@ -187,28 +206,10 @@ def _fd_seesaw(
     tol: float,
     seed: Optional[int],
 ) -> WitnessReport:
-    if restarts < 1:
-        raise ParameterError("need restarts >= 1")
-    if iters < 1:
-        raise ParameterError("need iters >= 1")
-    if not 0 <= tol < np.inf:
-        raise ParameterError("need a finite tol >= 0")
     rho4 = to_global_cut(state)
     dA, dB = rho4.shape[:2]
     child = np.random.default_rng(seed).integers(0, 2 ** 63 - 1, size=restarts)
     gens = [np.random.default_rng(c) for c in child]
-
-    def rank1_floor():
-        # A = |0><a|, B = |0><b| reaches exactly 1/t whenever <ab|rho|ab> > 0
-        redA = np.trace(rho4, axis1=1, axis2=3)  # tr_B -> (dA, dA)
-        a = np.linalg.eigh(linalg.hermitize(redA))[1][:, -1]
-        cond = np.einsum("a,abcd,c->bd", a.conj(), rho4, a)
-        b = np.linalg.eigh(linalg.hermitize(cond))[1][:, -1]
-        A = np.zeros((t, dA), dtype=complex)
-        B = np.zeros((t, dB), dtype=complex)
-        A[0, :] = a.conj()
-        B[0, :] = b.conj()
-        return A, B
 
     def random_filters(rows):
         """Random starts for ``rows``, each drawn from the row's own generator and
@@ -225,7 +226,7 @@ def _fd_seesaw(
     B = np.zeros((restarts, t, dB), dtype=complex)
     A[0], B[0] = np.eye(t, dA), np.eye(t, dB)
     if restarts > 1:
-        A[1], B[1] = rank1_floor()
+        A[1], B[1] = _rank1_floor(rho4, t)
     if restarts > 2:
         A[2:], B[2:] = random_filters(range(2, restarts))
     value = np.full(restarts, -np.inf)
@@ -289,6 +290,33 @@ def _fd_seesaw(
                          redraws=redraws.tolist(), best_restart=best)
 
 
+def _filter_fraction(
+    state: BipartiteState,
+    t: int,
+    restarts: int,
+    iters: int,
+    tol: float,
+    seed: Optional[int],
+) -> WitnessReport:
+    """The phi_t see-saw, or its rank-1 floor row alone when rho^Gamma >= 0 is
+    proved (``linalg.psd_proved``).  On a PPT state no filter pair beats 1/t: the
+    filtered state sigma is PPT too, so tr[sigma phi_t] = tr[sigma^Gamma F]/t <=
+    tr[sigma]/t, F the swap.  The floor reaches 1/t, so once the search's rows
+    include it (``restarts`` >= 2) no other row can raise the value."""
+    if restarts < 1:
+        raise ParameterError("need restarts >= 1")
+    if iters < 1:
+        raise ParameterError("need iters >= 1")
+    if not 0 <= tol < np.inf:
+        raise ParameterError("need a finite tol >= 0")
+    if restarts >= 2 and linalg.psd_proved(states.partial_transpose(state)):
+        fp = FilterPair(*_rank1_floor(to_global_cut(state), t)).normalized()
+        overlap, weight = filter_ratio(state, fp)
+        return WitnessReport(value=overlap / weight, certificate=fp, seed=seed, restarts=1,
+                             iterations=[0], redraws=[0], best_restart=0, route="ppt_proof")
+    return _fd_seesaw(state, t, restarts, iters, tol, seed)
+
+
 def f2(
     state: BipartiteState,
     *,
@@ -309,9 +337,11 @@ def f2(
     ``budget_exhausted`` is set when a restart stopped at ``iters`` sweeps while
     still gaining ``tol`` or more, so that its value could still rise.
     The search options ``restarts``, ``iters``, ``tol`` and ``seed`` are
-    keyword-only.
+    keyword-only.  When ``restarts`` >= 2 and rho^Gamma >= 0 is proved, the value
+    1/2 of the rank-1 floor row is returned without a search (``route`` is
+    "ppt_proof", with one restart of no sweeps).
     """
-    return _fd_seesaw(state, 2, restarts, iters, tol, seed)
+    return _filter_fraction(state, 2, restarts, iters, tol, seed)
 
 
 def fD(
@@ -325,10 +355,11 @@ def fD(
 ) -> WitnessReport:
     """Lower bound on the filtered phi_D fraction (target of output dimension D).
 
-    The search options are keyword-only, in the order of :func:`f2`."""
+    The search options are keyword-only, in the order of :func:`f2`, and a
+    proof of rho^Gamma >= 0 returns the floor value 1/D as there."""
     if D < 2:
         raise ParameterError("need D >= 2")
-    return _fd_seesaw(state, D, restarts, iters, tol, seed)
+    return _filter_fraction(state, D, restarts, iters, tol, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -454,10 +485,9 @@ def _symmetrized_dual(q: np.ndarray, dimA: int, dimB: int, pairs: int) -> np.nda
     if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
                for n in (dimA, dimB, pairs)):
         raise ParameterError("dimA, dimB and pairs must be positive integers")
-    sq = symmetry.symmetrize_matrix(q, dimA * dimB, pairs)
     if linalg.herm_residual(np.asarray(q)) > 1e-9:
         raise ParameterError("Q must be Hermitian")
-    return sq
+    return symmetry.symmetrize_matrix(q, dimA * dimB, pairs)
 
 
 def _weyl_blocks(sq: np.ndarray, pair_dim: int, pairs: int):

@@ -28,6 +28,33 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + dagger(m)) / 2.0
 
 
+def psd_proved(h: np.ndarray) -> bool:
+    """True only if the exact Hermitian part H of ``h`` is proved positive
+    semidefinite; False means "not proved", and a singular H is never proved.
+
+    A floating Cholesky of the real embedding M = [[Re g, -Im g], [Im g, Re g]]
+    (size N = 2n) of g = fl((h + h^dag)/2), shifted to M - cI, that ends with a
+    finite factor gives lambda_min >= -alpha tr M, alpha = (N+1)u / (1 - 2(N+1)u)
+    (Higham, Thm 10.3; Rump, BIT 46, 433 (2006)); so H >= 0 with the shift
+
+        c = 2 [(2 alpha + u) s + 2u |g|_F + 4(N+1)(2(N+1) + 2s) eta],
+
+    s = sum_i |g_ii|, u = 2^-53, eta = 2^-1074.  2u |g|_F covers the rounding of g,
+    u s that of the shifted diagonal, the eta term underflow, the factor 2 that of c.
+    """
+    g = hermitize(np.asarray(h, dtype=complex))
+    n1, u, eta = 2 * len(g) + 1, 2.0 ** -53, 2.0 ** -1074
+    s = float(np.abs(g.diagonal()).sum())
+    alpha = n1 * u / (1 - 2 * n1 * u)
+    c = 2 * ((2 * alpha + u) * s + 2 * u * np.linalg.norm(g) + 4 * n1 * (2 * n1 + 2 * s) * eta)
+    m = np.block([[g.real, -g.imag], [g.imag, g.real]])
+    m[np.diag_indices_from(m)] -= c
+    try:  # numpy does not raise on a NaN pivot, so the factor is checked as well
+        return bool(np.isfinite(np.linalg.cholesky(m)).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
 def trace_norm(m: np.ndarray) -> float:
     """Sum of singular values; for Hermitian input the sum of |eigenvalues|."""
     return float(np.abs(np.linalg.eigvalsh(hermitize(m))).sum())

@@ -8,6 +8,7 @@ not share their implementation.
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -305,6 +306,56 @@ def random_state(rng: np.random.Generator, dimA: int, dimB: int, pairs: int = 1)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     rho = g @ g.conj().T
     return BipartiteState(rho / np.trace(rho).real, dimA, dimB, pairs)
+
+
+def tiles_state() -> tuple[list, BipartiteState]:
+    """The UPB "tiles" state (Bennett et al., PRL 82, 5385 (1999)), (I - sum_i
+    |psi_i><psi_i|)/4 over the five product vectors of the 3x3 tiles UPB: PPT and
+    entangled, with a singular rho^Gamma.  Returns the exact matrix, rows of
+    Fractions in the pair-major order, and the state stored from it."""
+    tiles = [((1, 0, 0), (1, -1, 0)), ((1, -1, 0), (0, 0, 1)), ((0, 0, 1), (0, 1, -1)),
+             ((0, 1, -1), (1, 0, 0)), ((1, 1, 1), (1, 1, 1))]
+    exact = [[Fraction(int(i == j), 4) for j in range(9)] for i in range(9)]
+    for a, b in tiles:
+        v = [x * y for x in a for y in b]
+        norm = sum(x * x for x in v)
+        for i in range(9):
+            for j in range(9):
+                exact[i][j] -= Fraction(v[i] * v[j], 4 * norm)
+    return exact, BipartiteState(np.array(exact, dtype=float), 3, 3)
+
+
+def exact_real_embedding(h: np.ndarray) -> list:
+    """[[Re H, -Im H], [Im H, Re H]] in Fractions, for H the exact Hermitian part
+    (h + h^dag)/2 of the stored complex matrix h."""
+    n = len(h)
+    fr = [[(Fraction(h[i][j].real), Fraction(h[i][j].imag)) for j in range(n)] for i in range(n)]
+    re = [[(fr[i][j][0] + fr[j][i][0]) / 2 for j in range(n)] for i in range(n)]
+    im = [[(fr[i][j][1] - fr[j][i][1]) / 2 for j in range(n)] for i in range(n)]
+    return [re[i] + [-x for x in im[i]] for i in range(n)] + [im[i] + re[i] for i in range(n)]
+
+
+def exact_psd(rows: list) -> bool:
+    """Whether a real symmetric matrix of Fractions is positive semidefinite, by an
+    exact LDL^T: a negative pivot, or a zero pivot over a nonzero column, says no."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    for k in range(n):
+        d, below = a[k][k], [a[i][k] for i in range(k + 1, n)]
+        if d < 0 or (d == 0 and any(below)):
+            return False
+        for i in range(k + 1, n):
+            if a[i][k]:
+                ratio = a[i][k] / d
+                for j in range(k + 1, n):
+                    a[i][j] -= ratio * a[k][j]
+    return True
+
+
+def exact_quadratic_form(rows: list, y) -> Fraction:
+    """y^T M y in exact arithmetic, for M rows of Fractions and y real floats."""
+    fy = [Fraction(float(v)) for v in y]
+    return sum(fy[i] * sum(m * v for m, v in zip(row, fy)) for i, row in enumerate(rows))
 
 
 @pytest.fixture

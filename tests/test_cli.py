@@ -127,6 +127,22 @@ class TestStateAndVerdicts:
         assert run(["fd", "--state", str(spath), "--D", "3", "--lam", lam]) == 2
         assert "lambda must lie in [1/3, 1)" in capsys.readouterr().err
 
+    def test_fd_takes_tol_like_f2(self, capsys, tmp_path, werner_file):
+        # --tol reaches fD: at tol 10 every restart stops on its second sweep; a
+        # negative or non-finite tol is a usage error, as for f2
+        out = tmp_path / "fd.json"
+        assert run(["fd", "--state", werner_file, "--D", "2", "--restarts", "3", "--seed", "1",
+                    "--tol", "10", "--out", str(out)]) == 1
+        payload = read_json(out)
+        assert payload["iterations"] == [2, 2, 2] and payload["meta"]["options"]["tol"] == 10.0
+        for tol in ("nan", "inf", "-1e-9"):
+            capsys.readouterr()
+            assert run(["fd", "--state", werner_file, "--D", "3", f"--tol={tol}",
+                        "--out", str(tmp_path / "bad.json")]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: need a finite tol")
+        assert not (tmp_path / "bad.json").exists()
+
     def test_fd_dimension_below_two_is_usage_error(self, capsys, werner_file):
         assert run(["fd", "--state", werner_file, "--D", "0"]) == 2
         assert "need D >= 2" in capsys.readouterr().err

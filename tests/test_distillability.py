@@ -1,7 +1,9 @@
 """See-saw singlet fraction, Schmidt-rank-2 searches, PPT, dual-cone checks."""
 
+import contextlib
 import inspect
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,9 +14,12 @@ from scipy import optimize
 import distilkit as dk
 from distilkit import linalg
 from distilkit.distillability import (
+    DEFAULT_ITERS,
+    DEFAULT_TOL,
     DENOM_REG,
     FilterPair,
     WitnessReport,
+    _fd_seesaw,
     _rayleigh_step,
     evaluate_schmidt_certificate,
     filter_ratio,
@@ -24,9 +29,10 @@ from distilkit.errors import ParameterError
 from distilkit.states import to_global_cut
 from distilkit.symmetry import symmetrize_matrix
 
-from conftest import (Permutation, explicit_twirl, global_cut_pt_reference, lorentz_f2,
-                      per_entry_pairs, permutation_operator, random_state, seesaw_reference,
-                      signed_zero_matrix)
+from conftest import (Permutation, exact_psd, exact_quadratic_form, exact_real_embedding,
+                      explicit_twirl, global_cut_pt_reference, lorentz_f2, per_entry_pairs,
+                      permutation_operator, random_state, seesaw_reference, signed_zero_matrix,
+                      tiles_state)
 
 PHI2 = dk.phi_projector(2)
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -159,7 +165,9 @@ class TestF2:
 
 
 class TestStackedSeesaw:
-    """The stacked see-saw against the per-restart reference loop in conftest."""
+    """The stacked see-saw against the per-restart reference loop in conftest.  The
+    comparisons call the search itself, ``_fd_seesaw``, so that it keeps its
+    coverage on PPT states, where ``f2`` and ``fD`` return the proved floor."""
 
     @staticmethod
     def states():
@@ -177,12 +185,13 @@ class TestStackedSeesaw:
 
     def test_f2_matches_per_restart_loop(self):
         for i, state in enumerate(self.states()):
-            self.check(dk.f2(state, restarts=6, seed=i), seesaw_reference(state, 2, 6, seed=i))
+            self.check(_fd_seesaw(state, 2, 6, DEFAULT_ITERS, DEFAULT_TOL, i),
+                       seesaw_reference(state, 2, 6, seed=i))
 
     def test_fd_matches_per_restart_loop(self):
         for i, state in enumerate(self.states()):
             if state.dimA == 3:
-                self.check(dk.fD(state, 3, restarts=5, seed=i),
+                self.check(_fd_seesaw(state, 3, 5, DEFAULT_ITERS, DEFAULT_TOL, i),
                            seesaw_reference(state, 3, 5, seed=i))
 
     @pytest.mark.parametrize("dA,dB", [(2, 3), (3, 2)])
@@ -206,7 +215,7 @@ class TestStackedSeesaw:
     def test_iteration_cap_and_tolerance_per_restart(self):
         state = dk.construct_state(dk.StateFamilySpec(dk.Family.RANDOM_PPT, d=2), seed=21)
         for iters, tol in ((3, 1e-9), (40, 1e-6)):
-            rep = dk.f2(state, restarts=5, iters=iters, tol=tol, seed=1)
+            rep = _fd_seesaw(state, 2, 5, iters, tol, 1)
             self.check(rep, seesaw_reference(state, 2, 5, iters=iters, tol=tol, seed=1))
             assert max(rep.iterations) <= iters
 
@@ -457,6 +466,137 @@ class TestFD:
             dk.fD(phi_state(2), 1)
 
 
+def random_ppt(d, seed):
+    return dk.construct_state(dk.StateFamilySpec(dk.Family.RANDOM_PPT, d=d), seed=seed)
+
+
+class TestPptProofRoute:
+    """f2 / fD return the rank-1 floor row when rho^Gamma >= 0 is proved, checked
+    against routes that share no code with the proof."""
+
+    def test_two_qubit_value_is_the_lorentz_closed_form(self):
+        for seed in range(12):
+            state = random_ppt(2, seed)
+            rep = dk.f2(state, seed=seed)
+            assert rep.route == "ppt_proof"
+            assert abs(rep.value - lorentz_f2(state)) < 1e-9
+
+    def test_qutrit_fd_is_one_third(self):
+        for seed in range(6):
+            rep = dk.fD(random_ppt(3, seed), 3, seed=seed)
+            assert rep.route == "ppt_proof" and abs(rep.value - 1 / 3) < 1e-15
+
+    def test_certificate_re_evaluates_and_the_report_names_one_row(self):
+        cases = [(random_ppt(d, s), t) for d in (2, 3) for s in range(4) for t in (2, 3, 4)]
+        cases += [(dk.werner_state(3, 0.2), 2), (dk.isotropic_state(2, 0.25), 2)]
+        for state, t in cases:
+            rep = dk.fD(state, t, restarts=2, seed=5)
+            assert rep.route == "ppt_proof" and abs(rep.value - 1 / t) < 1e-15
+            overlap, weight = filter_ratio(state, rep.certificate)
+            assert abs(overlap / weight - rep.value) < 1e-15
+            assert (rep.restarts, rep.iterations, rep.redraws, rep.best_restart) == (1, [0], [0], 0)
+            assert not rep.budget_exhausted and rep.seed == 5
+            payload = rep.to_dict()
+            assert payload["route"] == "ppt_proof" and payload["iterations"] == [0]
+
+    def test_one_restart_runs_the_search(self):
+        # the floor is the search's second row: with one restart it is not run
+        rep = dk.f2(random_ppt(2, 0), restarts=1, seed=0)
+        assert rep.route == "search" and rep.iterations[0] >= 1
+
+    @staticmethod
+    def unproved():
+        yield "npt_by_5e-10", dk.werner_state(2, 0.5000000005)
+        yield "werner_half", dk.werner_state(2, 0.5)  # PPT with a singular rho^Gamma
+        yield "tiles", tiles_state()[1]  # PPT entangled, singular rho^Gamma
+
+    def test_never_fires_without_a_proof(self):
+        for name, state in self.unproved():
+            assert not linalg.psd_proved(dk.partial_transpose(state)), name
+            rep = dk.f2(state, seed=1)
+            assert rep.route == "search" and rep.restarts == len(rep.iterations) == 32, name
+        assert rep.value <= 0.5 + 1e-6  # tiles is PPT: no filter pair beats 1/2
+
+    def test_tiles_closed_form_is_ppt_and_entangled(self):
+        exact, state = tiles_state()
+        pt = [[exact[3 * (i // 3) + j % 3][3 * (j // 3) + i % 3] for j in range(9)] for i in range(9)]
+        assert sum(exact[i][i] for i in range(9)) == 1 and exact_psd(exact) and exact_psd(pt)
+        # realignment R[(a, a'), (b, b')] = rho[(a, b), (a', b')]: a norm above 1
+        # proves entanglement (Chen-Wu; Rudolph)
+        realigned = state.data.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9)
+        assert np.linalg.svd(realigned, compute_uv=False).sum() > 1.08
+
+    @pytest.mark.parametrize("opts", [{"restarts": 0}, {"iters": 0}, {"tol": -1e-9},
+                                      {"tol": np.nan}, {"tol": np.inf}])
+    def test_invalid_options_rejected_on_a_ppt_state(self, opts):
+        state = dk.werner_state(2, 0.3)
+        with pytest.raises(ParameterError):
+            dk.f2(state, **opts)
+        with pytest.raises(ParameterError):
+            dk.fD(state, 3, **opts)
+
+
+class TestPsdProved:
+    """Soundness of ``linalg.psd_proved`` against exact rational arithmetic."""
+
+    @staticmethod
+    def draw(rng, n, delta, real, top=1.0):
+        """A random Hermitian matrix with eigenvalues uniform in [0, top] but one set
+        to -delta, and the real embedding of its computed least eigenvector."""
+        g = rng.standard_normal((n, n)) + (0 if real else 1j * rng.standard_normal((n, n)))
+        q = np.linalg.qr(g)[0]
+        w = rng.uniform(0.0, top, n)
+        w[0] = -delta
+        h = linalg.hermitize((q * w) @ q.conj().T)
+        x = np.linalg.eigh(h)[1][:, 0]
+        return h, np.concatenate([x.real, x.imag])
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("delta", [1e-15, 1e-12, 1e-9])
+    def test_false_on_a_negative_eigenvalue(self, rng, delta, real):
+        for n in (4, 7, 12, 18):
+            h, y = self.draw(rng, n, delta, real)
+            # rounding moves the least eigenvalue by about 1e-16: a diagonal shift puts
+            # the exact Rayleigh quotient at y back at -delta
+            r = exact_quadratic_form(exact_real_embedding(h), y) / sum(Fraction(v) ** 2 for v in y)
+            h = h - (float(r) + delta) * np.eye(n)
+            assert exact_quadratic_form(exact_real_embedding(h), y) < 0
+            assert not linalg.psd_proved(h)
+
+    def test_false_where_an_unshifted_cholesky_succeeds(self, rng):
+        # [[a, b], [b, c]] with c the float just below b^2/a is not PSD (a c < b^2
+        # exactly), yet a floating factorization often ends on a positive pivot: each
+        # draw on which numpy's unshifted Cholesky succeeds stays unproved
+        found = 0
+        for _ in range(400):
+            a, b = rng.uniform(0.5, 2.0, 2)
+            c = np.nextafter(float(Fraction(b) ** 2 / Fraction(a)), 0.0)
+            assert Fraction(a) * Fraction(c) < Fraction(b) ** 2
+            h = np.array([[a, b], [b, c]])
+            with contextlib.suppress(np.linalg.LinAlgError):
+                np.linalg.cholesky(np.kron(np.eye(2), h))  # the real embedding of h
+                found += 1
+                assert not linalg.psd_proved(h)
+        assert found >= 5, found
+
+    def test_false_on_non_finite_entries(self):
+        # numpy's Cholesky runs through a NaN pivot without raising
+        assert not linalg.psd_proved(np.full((3, 3), np.nan))
+        h = np.eye(4, dtype=complex)
+        h[1, 2] = h[2, 1] = np.nan
+        assert not linalg.psd_proved(h)
+
+    def test_every_proved_certify_state_is_psd_exactly(self):
+        states = [random_ppt(d, s) for d in (2, 3) for s in range(8)]
+        states += [dk.werner_state(d, p) for d in (2, 3) for p in (0.2, 0.4)]
+        states += [dk.isotropic_state(2, p) for p in (0.1, 0.25)]
+        states += [dk.isotropic_state(3, p) for p in (0.1, 0.2)]
+        for state in states:
+            assert linalg.psd_proved(dk.partial_transpose(state))
+            pt = global_cut_pt_reference(state.data, state.dimA, state.dimB, 1)
+            assert exact_psd(exact_real_embedding(pt))
+
+
 class TestSingleCopy:
     def test_phi2_certificate(self):
         rep = dk.single_copy_distillable(phi_state(), budget=4, seed=0)
@@ -696,6 +836,18 @@ class TestDualInputs:
             fn(q, 2, 2, 2)
 
     @pytest.mark.parametrize("fn", DUAL_UTILITIES)
+    def test_non_hermitian_rejected_before_it_is_averaged(self, rng, fn, monkeypatch):
+        # the check reads Q itself: the pair average is never formed
+        def no_average(*args):
+            raise AssertionError("symmetrize_matrix ran on a non-Hermitian Q")
+
+        monkeypatch.setattr(dk.symmetry, "symmetrize_matrix", no_average)
+        q = linalg.random_hermitian(rng, 64)
+        q[2, 5] += 1e-6
+        with pytest.raises(ParameterError, match="Hermitian"):
+            fn(q, 2, 2, 3)
+
+    @pytest.mark.parametrize("fn", DUAL_UTILITIES)
     def test_zero_pairs_rejected(self, fn):
         with pytest.raises(ParameterError, match="positive integers"):
             fn(-np.eye(1), 2, 2, 0)
@@ -772,7 +924,7 @@ class TestCertificateConversion:
                 "B": {"shape": [2, 4], "entries": per_entry_pairs(fp.B)}}
         reference = {"value": 0.7, "certificate": cert, "budget_exhausted": False,
                      "seed": 3, "restarts": 4, "iterations": None, "redraws": None,
-                     "best_restart": None}
+                     "best_restart": None, "route": "search"}
         assert json.dumps(rep.to_dict()) == json.dumps(reference)
 
     def test_vector_encoding_matches_per_entry_format(self, rng):
@@ -781,7 +933,7 @@ class TestCertificateConversion:
         cert = {"type": "schmidt_rank2_vector", "vector": per_entry_pairs(vector)}
         reference = {"value": -0.1, "certificate": cert, "budget_exhausted": True,
                      "seed": None, "restarts": 2, "iterations": None, "redraws": None,
-                     "best_restart": None}
+                     "best_restart": None, "route": "search"}
         assert json.dumps(rep.to_dict()) == json.dumps(reference)
 
     def test_report_serialization(self):
