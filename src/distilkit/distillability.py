@@ -290,19 +290,12 @@ def _fd_seesaw(
                          redraws=redraws.tolist(), best_restart=best)
 
 
-def _filter_fraction(
-    state: BipartiteState,
-    t: int,
-    restarts: int,
-    iters: int,
-    tol: float,
-    seed: Optional[int],
-) -> WitnessReport:
-    """The phi_t see-saw, or its rank-1 floor row alone when rho^Gamma >= 0 is
-    proved (``linalg.psd_proved``).  On a PPT state no filter pair beats 1/t: the
-    filtered state sigma is PPT too, so tr[sigma phi_t] = tr[sigma^Gamma F]/t <=
-    tr[sigma]/t, F the swap.  The floor reaches 1/t, so once the search's rows
-    include it (``restarts`` >= 2) no other row can raise the value."""
+def _filter_fraction(state: BipartiteState, t: int, restarts: int, iters: int, tol: float,
+                     seed: Optional[int]) -> WitnessReport:
+    """The phi_t see-saw, or its rank-1 floor row alone when ``linalg.psd_proved``
+    shows rho^Gamma >= 0: every filtered state sigma is then PPT, so tr[sigma phi_t]
+    = tr[sigma^Gamma F]/t <= tr[sigma]/t (F the swap), and the floor reaches 1/t.
+    The floor is one of the search's rows once ``restarts`` >= 2."""
     if restarts < 1:
         raise ParameterError("need restarts >= 1")
     if iters < 1:
@@ -337,9 +330,8 @@ def f2(
     ``budget_exhausted`` is set when a restart stopped at ``iters`` sweeps while
     still gaining ``tol`` or more, so that its value could still rise.
     The search options ``restarts``, ``iters``, ``tol`` and ``seed`` are
-    keyword-only.  When ``restarts`` >= 2 and rho^Gamma >= 0 is proved, the value
-    1/2 of the rank-1 floor row is returned without a search (``route`` is
-    "ppt_proof", with one restart of no sweeps).
+    keyword-only.  When ``restarts`` >= 2 and rho^Gamma >= 0 is proved, the floor
+    value 1/2 is returned without a search (``route`` "ppt_proof", no sweeps).
     """
     return _filter_fraction(state, 2, restarts, iters, tol, seed)
 

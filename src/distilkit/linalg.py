@@ -32,16 +32,13 @@ def psd_proved(h: np.ndarray) -> bool:
     """True only if the exact Hermitian part H of ``h`` is proved positive
     semidefinite; False means "not proved", and a singular H is never proved.
 
-    A floating Cholesky of the real embedding M = [[Re g, -Im g], [Im g, Re g]]
-    (size N = 2n) of g = fl((h + h^dag)/2), shifted to M - cI, that ends with a
-    finite factor gives lambda_min >= -alpha tr M, alpha = (N+1)u / (1 - 2(N+1)u)
-    (Higham, Thm 10.3; Rump, BIT 46, 433 (2006)); so H >= 0 with the shift
-
-        c = 2 [(2 alpha + u) s + 2u |g|_F + 4(N+1)(2(N+1) + 2s) eta],
-
-    s = sum_i |g_ii|, u = 2^-53, eta = 2^-1074.  2u |g|_F covers the rounding of g,
-    u s that of the shifted diagonal, the eta term underflow, the factor 2 that of c.
-    """
+    A floating Cholesky of M - cI, M = [[Re g, -Im g], [Im g, Re g]] (size N = 2n)
+    the real embedding of g = fl((h + h^dag)/2), that ends with a finite factor
+    gives lambda_min(M - cI) >= -alpha tr M, alpha = (N+1)u / (1 - 2(N+1)u) (Higham,
+    Thm 10.3; Rump, BIT 46, 433 (2006)).  So H >= 0 with the shift
+    c = 2 [(2 alpha + u) s + 2u |g|_F + 4(N+1)(2(N+1) + 2s) eta], s = sum_i |g_ii|,
+    u = 2^-53, eta = 2^-1074: 2u |g|_F covers the rounding of g, u s that of the
+    shifted diagonal, the eta term underflow and the factor 2 the rounding of c."""
     g = hermitize(np.asarray(h, dtype=complex))
     n1, u, eta = 2 * len(g) + 1, 2.0 ** -53, 2.0 ** -1074
     s = float(np.abs(g.diagonal()).sum())
