@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, states
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 from .states import BipartiteState
 
 
@@ -267,42 +267,47 @@ def _realignment_candidates(state: BipartiteState, limit: int) -> list[np.ndarra
     return out
 
 
-#: weight-step iteration cap; it stops early once no weight moves by WEIGHT_TOL
-WEIGHT_ITERS = 500
-WEIGHT_TOL = 1e-15
+def _power_overlaps(stack: np.ndarray, target: np.ndarray, k: int) -> np.ndarray:
+    """Re <M_i^(x k), T> for a ``(n, d, d)`` stack and a ``(d^k, d^k)`` target,
+    contracting T with conj(M_i) one pair at a time, so no power is formed."""
+    n, d = stack.shape[:2]
+    x = np.broadcast_to(target, (n,) + target.shape)
+    for j in range(k - 1, -1, -1):
+        x = np.einsum("iac,iabcd->ibd", stack.conj(), x.reshape(n, d, d ** j, d, d ** j))
+    return x.reshape(n).real
 
 
-def _simplex_projection(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (Duchi et al., ICML 2008)."""
-    u = np.sort(v)[::-1]
-    css = u.cumsum() - 1.0
-    r = np.count_nonzero(u * np.arange(1, v.size + 1) > css)
-    return np.maximum(v - css[r - 1] / r, 0.0)
-
-
-def _weight_step(target: np.ndarray, powers: list[np.ndarray], w0: np.ndarray) -> np.ndarray:
-    """Convex step: least-squares fit of the mixture to the target over the
-    probability simplex, by accelerated projected gradient with adaptive restart
-    started from ``w0``.  The projection ignores shifts along (1, ..., 1), so the
-    step is 1/lambda_max of the Gram matrix restricted to sum-zero directions."""
-    stack = np.stack([p.reshape(-1) for p in powers])
-    gram = np.real(stack.conj() @ stack.T)
-    rhs = np.real(stack.conj() @ target.reshape(-1))
-    lam = np.linalg.eigvalsh(gram - gram.mean(0) - gram.mean(1)[:, None] + gram.mean())[-1]
-    step = 1.0 / lam if lam > 0 else 0.0
-    w = y = np.asarray(w0, dtype=float)
-    theta = 1.0
-    for _ in range(WEIGHT_ITERS):
-        w_prev, w = w, _simplex_projection(y - step * (gram @ y - rhs))
-        theta_new = (1.0 + np.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
-        if (y - w) @ (w - w_prev) > 0:  # momentum points uphill: restart it
-            theta_new, y = 1.0, w
+def _weight_step(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The probability vector w minimizing 1/2 w^T G w - r^T w, the least-squares fit
+    sum_i w_i P_i to T for G_ij = Re <P_i, P_j> and r_i = Re <P_i, T>, by a primal
+    active-set solve (Lawson and Hanson, 1974) from the best vertex.  Each pass solves
+    the free weights' KKT system by least squares (a singular G is fine), then steps
+    back to the first weight it would make negative, frees the most negative
+    multiplier, or stops.  More than 3n passes is a NumericalError."""
+    n = rhs.size
+    tol = 10 * n * np.finfo(float).eps * max(np.abs(gram).max(), np.abs(rhs).max())
+    free = np.arange(n) == np.argmin(0.5 * np.diag(gram) - rhs)
+    w = free.astype(float)
+    for _ in range(3 * n):
+        idx = np.flatnonzero(free)
+        kkt = np.ones((idx.size + 1, idx.size + 1))
+        kkt[:-1, :-1], kkt[-1, -1] = gram[np.ix_(idx, idx)], 0.0
+        z = np.linalg.lstsq(kkt, np.append(rhs[idx], 1.0), rcond=None)[0][:-1]
+        if z.min() >= 0:
+            w = np.zeros(n)
+            w[idx] = z
+            grad = gram @ w - rhs
+            mult = np.where(free, 0.0, grad - grad[idx].mean())
+            if mult.min() >= -tol:
+                return w
+            free[np.argmin(mult)] = True
         else:
-            y = w + (theta - 1.0) / theta_new * (w - w_prev)
-        theta = theta_new
-        if abs(w - w_prev).max() < WEIGHT_TOL:
-            break
-    return w
+            neg = np.flatnonzero(z < 0)
+            ratio = w[idx[neg]] / (w[idx[neg]] - z[neg])
+            w[idx] += ratio.min() * (z - w[idx])
+            w[idx[neg[np.argmin(ratio)]]] = 0.0
+            free = w > 0
+    raise NumericalError(f"the simplex weight solve did not settle in {3 * n} passes")
 
 
 def best_product_mixture_distance(
@@ -315,7 +320,7 @@ def best_product_mixture_distance(
     """Upper bound on the trace distance from a symmetric k-pair state to the
     set of mixtures of k-fold product powers.
 
-    Alternates a convex weight step with randomized member perturbations;
+    Alternates the exact simplex weight fit with randomized member perturbations;
     member pools are seeded with the single-pair marginal and realignment
     guesses.  Single powers rho^(x k) and mixtures of Hilbert-Schmidt-orthogonal
     members (with distinct w_i tr rho_i^2) resolve exactly, to ~0 distance, at
@@ -331,7 +336,7 @@ def best_product_mixture_distance(
     sym = symmetrize(state)
     if states.trace_distance(sym, state) > 1e-9:
         raise ParameterError("input is not permutation-symmetric; symmetrize first")
-    m = state.pair_dim
+    m, dims = state.pair_dim, (state.dimA, state.dimB)
     if support is None:
         support = k * m * m
     target = state.data
@@ -341,21 +346,23 @@ def best_product_mixture_distance(
     rng_root = np.random.default_rng(seed)
     child_seeds = rng_root.integers(0, 2 ** 63 - 1, size=restarts)
 
-    def run(restart_idx: int) -> tuple[float, list[np.ndarray], np.ndarray]:
+    def run(restart_idx: int) -> tuple[float, Ensemble]:
         rng = np.random.default_rng(child_seeds[restart_idx])
-        members = [mat.copy() for mat in base_pool]
+        members = list(base_pool)
         while len(members) < support:
             members.append(linalg.random_density(rng, m))
-        members = members[:support]
-        powers = [states.kron_power(mat, k) for mat in members]
-        w = np.full(len(members), 1.0 / len(members))
-        w = _weight_step(target, powers, w)
+        stack = np.array(members[:support])
+        # <rho_i^(x k), rho_j^(x k)> = <rho_i, rho_j>^k
+        gram = np.einsum("iab,jab->ij", stack.conj(), stack).real ** k
+        rhs = _power_overlaps(stack, target, k)
+        w = _weight_step(gram, rhs)
 
-        def objective(wv, pw):
-            mix = sum(x * p for x, p in zip(wv, pw))
-            return 0.5 * linalg.trace_norm(target - mix)
+        def objective(wv, mats):
+            keep = wv > 0
+            ens = Ensemble(tuple(wv[keep]), tuple(BipartiteState(x, *dims) for x in mats[keep]))
+            return 0.5 * linalg.trace_norm(target - mixture_of_powers(ens, k).data), ens
 
-        best = objective(w, powers)
+        best, ens = objective(w, stack)
         step = 0.15
         for _ in range(iters):
             if best < 1e-9:
@@ -363,39 +370,32 @@ def best_product_mixture_distance(
             order = np.argsort(w)[::-1]
             improved = False
             for idx in order[: max(3, len(order) // 4)]:
-                cand = linalg.psd_project(members[idx] + step * linalg.random_hermitian(rng, m))
+                cand = linalg.psd_project(stack[idx] + step * linalg.random_hermitian(rng, m))
                 t = np.trace(cand).real
                 if t < 1e-12:
                     continue
                 cand /= t
-                trial_powers = list(powers)
-                trial_powers[idx] = states.kron_power(cand, k)
-                w_trial = _weight_step(target, trial_powers, w)
-                val = objective(w_trial, trial_powers)
+                trial = stack.copy()
+                trial[idx] = cand
+                g, r = gram.copy(), rhs.copy()
+                g[idx] = g[:, idx] = np.einsum("iab,ab->i", trial.conj(), cand).real ** k
+                r[idx] = _power_overlaps(cand[None], target, k)[0]
+                w_trial = _weight_step(g, r)
+                val, trial_ens = objective(w_trial, trial)
                 if val < best - 1e-12:
-                    members[idx] = cand
-                    powers = trial_powers
-                    w, best = w_trial, val
+                    stack, gram, rhs = trial, g, r
+                    w, best, ens = w_trial, val, trial_ens
                     improved = True
             if not improved:
                 step *= 0.5
                 if step < 1e-4:
                     break
-        return best, members, w
+        return best, ens
 
     results = [run(i) for i in range(restarts)]
     best_val = min(r[0] for r in results)
-    for r in results:  # first restart attaining the best value within 1e-12
-        if r[0] <= best_val + 1e-12:
-            best_val, members, w = r
-            break
-    keep = w > 1e-12
-    w_kept = w[keep] / w[keep].sum()
-    ens = Ensemble(
-        tuple(w_kept),
-        tuple(BipartiteState(members[i], state.dimA, state.dimB) for i in np.nonzero(keep)[0]),
-    )
-    return float(best_val), ens
+    # the first restart attaining the best value within 1e-12
+    return next((float(val), ens) for val, ens in results if val <= best_val + 1e-12)
 
 
 # ---------------------------------------------------------------------------

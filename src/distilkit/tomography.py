@@ -121,15 +121,15 @@ def local_frame(state: BipartiteState) -> tuple[Frame, Frame]:
 
 def born_probabilities(state: BipartiteState, frames: tuple[Frame, Frame]) -> np.ndarray:
     """Outcome distribution p_kl = tr[(E_k (x) F_l) rho] of the local frames (E, F),
-    flattened as k * K_B + l, clipped of tiny negatives and renormalized: two
-    contractions p_kl = sum E_k[c, a] F_l[d, b] rho[(a b), (c d)]."""
+    flattened as k * K_B + l, clipped of negatives down to -STATE_TOL and renormalized:
+    two contractions p_kl = sum E_k[c, a] F_l[d, b] rho[(a b), (c d)]."""
     fa, fb = frames
     if state.pairs != 1 or (fa.dim, fb.dim) != (state.dimA, state.dimB):
         raise ParameterError("frame dimensions do not match the pair")
     rho = state.data.reshape(fa.dim, fb.dim, fa.dim, fb.dim)
     half = np.tensordot(fa.elements, rho, axes=([1, 2], [2, 0]))  # (k, b, d)
     p = np.tensordot(half, fb.elements, axes=([1, 2], [2, 1])).real.reshape(-1)
-    if p.min() < -1e-12:
+    if p.min() < -states.STATE_TOL:
         raise NumericalError(f"Born probability {p.min()} below clipping tolerance")
     p = np.clip(p, 0.0, None)
     total = p.sum()
@@ -142,8 +142,8 @@ def simulate_measurements(
     state: BipartiteState, frames: tuple[Frame, Frame], shots: int, seed: Optional[int]
 ) -> OutcomeCounts:
     """Multinomial sample of i.i.d. outcomes; deterministic for a fixed seed."""
-    if shots < 0:
-        raise ParameterError("shots must be nonnegative")
+    if not 0 <= shots <= np.iinfo(np.int64).max:
+        raise ParameterError(f"shots must be in [0, {np.iinfo(np.int64).max}]")
     counts = np.random.default_rng(seed).multinomial(shots, born_probabilities(state, frames))
     return OutcomeCounts(tuple(int(c) for c in counts), shots)
 

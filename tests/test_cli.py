@@ -264,10 +264,14 @@ class TestScalarCommands:
         (["chernoff", "--delta", "inf", "--n", "10", "--cardinality", "4"], "finite delta"),
         (["chernoff", "--delta", "0.1", "--n", str(10 ** 400), "--cardinality", "4"], "overflows"),
         (["definetti-bound", "--d", str(10 ** 400), "--k", "1", "--n", "2"], "overflows"),
-        (["definetti-bound", "--d", "2", "--k", "1", "--n", str(10 ** 400)], "overflows")])
-    def test_unrepresentable_number_is_usage_error(self, capsys, tmp_path, verb, message):
+        (["definetti-bound", "--d", "2", "--k", "1", "--n", str(10 ** 400)], "overflows"),
+        (["tomo-sim", "--state", "S", "--shots", str(2 ** 63), "--seed", "1"], "shots"),
+        (["tomo-pipeline", "--state", "S", "--shots", str(2 ** 63), "--seed", "1"], "shots")])
+    def test_unrepresentable_number_is_usage_error(self, capsys, tmp_path, werner_file, verb,
+                                                   message):
         out = tmp_path / "o.json"
-        assert run(verb + ["--out", str(out)]) == 2
+        capsys.readouterr()  # drop the fixture's summary line
+        assert run([{"S": werner_file}.get(a, a) for a in verb] + ["--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -25,8 +25,8 @@ from distilkit.distillability import (
     filter_ratio,
     schmidt_rank2_filters,
 )
-from distilkit.errors import ParameterError
-from distilkit.states import to_global_cut
+from distilkit.errors import OptimizationError, ParameterError
+from distilkit.states import state_from_dict, state_to_dict, to_global_cut
 from distilkit.symmetry import symmetrize_matrix
 
 from conftest import (Permutation, exact_psd, exact_quadratic_form, exact_real_embedding,
@@ -535,6 +535,32 @@ class TestPptProofRoute:
             dk.f2(state, **opts)
         with pytest.raises(ParameterError):
             dk.fD(state, 3, **opts)
+
+
+class TestNonFiniteStates:
+    """numpy's Cholesky does not raise on a NaN pivot, but no NaN reaches the see-saw's:
+    load_state rejects non-finite entries, and a NaN state built in code has NaN success
+    weights, which never exceed DENOM_REG, so no restart is admitted."""
+
+    def test_state_file_with_nan_is_rejected(self):
+        payload = state_to_dict(dk.werner_state(2, 0.3))
+        payload["matrix"][0] = [float("nan"), 0.0]
+        with pytest.raises(ParameterError):
+            state_from_dict(payload)
+
+    @pytest.mark.parametrize("restarts", [1, 2, 32])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_nan_state_raises_and_never_returns_nan(self, d, restarts):
+        data = np.full((d * d, d * d), np.nan, dtype=complex)
+        data[0, 1] = 0.5
+        state = dk.BipartiteState(data, d, d)
+        # one restart is the see-saw alone, which admits none; with two or more, the
+        # rank-1 floor's eigensolve comes first and may itself fail to converge
+        raised = OptimizationError if restarts == 1 else (OptimizationError, np.linalg.LinAlgError)
+        with pytest.raises(raised):
+            dk.f2(state, restarts=restarts, seed=1)
+        with pytest.raises(raised):
+            dk.fD(state, 3, restarts=restarts, seed=1)
 
 
 class TestPsdProved:

@@ -13,7 +13,8 @@ from scipy import optimize
 import distilkit as dk
 from distilkit import linalg
 from distilkit.errors import CapacityError, ParameterError
-from distilkit.symmetry import _orbit_table, _weight_step, _young_bases, symmetrize_matrix
+from distilkit.symmetry import (_orbit_table, _power_overlaps, _weight_step, _young_bases,
+                               symmetrize_matrix)
 
 from conftest import (Permutation, all_permutations, explicit_twirl, permutation_operator,
                       random_state, sweep_double_twirl, sweep_twirl)
@@ -424,17 +425,30 @@ def complex_orthogonal_ensemble(rng, w0=0.35):
     return dk.Ensemble((w0, 1 - w0), tuple(members))
 
 
+def kron_chain(mat, k):
+    out = mat
+    for _ in range(k - 1):
+        out = np.kron(out, mat)
+    return out
+
+
+def gram_and_rhs(target, powers):
+    """G_ij = Re <P_i, P_j> and r_i = Re <P_i, T> from the explicit powers."""
+    flat = np.array([p.reshape(-1) for p in powers])
+    return np.real(flat.conj() @ flat.T), np.real(flat.conj() @ target.reshape(-1))
+
+
 def mismatch(target, powers, w):
     diff = target - sum(x * p for x, p in zip(w, powers))
     return float(np.real(np.vdot(diff, diff)))
 
 
-def slsqp_weights(target, powers, w0):
-    """Reference least-squares fit over the simplex by SLSQP."""
+def slsqp_weights(target, powers):
+    """Reference least-squares fit over the simplex by SLSQP, from the uniform weights."""
     n = len(powers)
     cons = ({"type": "eq", "fun": lambda w: w.sum() - 1.0, "jac": lambda w: np.ones(n)},)
-    res = optimize.minimize(lambda w: mismatch(target, powers, w), w0, bounds=[(0.0, 1.0)] * n,
-                            constraints=cons, method="SLSQP",
+    res = optimize.minimize(lambda w: mismatch(target, powers, w), np.full(n, 1.0 / n),
+                            bounds=[(0.0, 1.0)] * n, constraints=cons, method="SLSQP",
                             options={"maxiter": 300, "ftol": 1e-16})
     w = np.clip(res.x, 0.0, None)
     return w / w.sum()
@@ -442,26 +456,50 @@ def slsqp_weights(target, powers, w0):
 
 class TestWeightStep:
     @settings(max_examples=20, deadline=None)
-    @given(seed=SEEDS, n=st.integers(1, 8), near_mixture=st.booleans())
-    def test_simplex_fit_matches_slsqp(self, seed, n, near_mixture):
+    @given(seed=SEEDS, n=st.integers(1, 8), k=st.sampled_from([2, 3]),
+           near_mixture=st.booleans(), duplicate=st.booleans())
+    def test_simplex_fit_matches_slsqp(self, seed, n, k, near_mixture, duplicate):
         rng = np.random.default_rng(seed)
         members = [linalg.random_density(rng, 4) for _ in range(n)]
-        powers = [np.kron(m, m) for m in members]
-        target = linalg.random_density(rng, 16)
+        if duplicate:  # two equal members: a singular Gram matrix
+            members.append(members[0])
+        powers = [kron_chain(m, k) for m in members]
+        target = linalg.random_density(rng, 4 ** k)
         if near_mixture:
-            mix = sum(x * p for x, p in zip(rng.dirichlet(np.ones(n)), powers))
+            mix = sum(x * p for x, p in zip(rng.dirichlet(np.ones(len(powers))), powers))
             target = (mix + 0.01 * target) / 1.01
-        w0 = np.full(n, 1.0 / n)
-        w = _weight_step(target, powers, w0)
+        w = _weight_step(*gram_and_rhs(target, powers))
         assert w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-12
-        assert mismatch(target, powers, w) <= mismatch(target, powers, slsqp_weights(target, powers, w0)) + 1e-12
+        assert mismatch(target, powers, w) <= mismatch(target, powers, slsqp_weights(target, powers)) + 1e-12
 
     def test_exact_mixture_recovered(self, rng):
         members = [linalg.random_density(rng, 4) for _ in range(4)]
         powers = [np.kron(m, m) for m in members]
         w_true = np.array([0.1, 0.0, 0.6, 0.3])
-        w = _weight_step(sum(x * p for x, p in zip(w_true, powers)), powers, np.full(4, 0.25))
+        w = _weight_step(*gram_and_rhs(sum(x * p for x, p in zip(w_true, powers)), powers))
         assert np.max(np.abs(w - w_true)) < 1e-9
+
+    def test_duplicated_members_share_the_weight_of_one(self, rng):
+        # three copies of one member: a rank-deficient Gram matrix, solved by least squares
+        members = [linalg.random_density(rng, 4) for _ in range(2)]
+        powers = [np.kron(m, m) for m in (members[0], members[1], members[0], members[0])]
+        target = 0.4 * powers[0] + 0.6 * powers[1]
+        w = _weight_step(*gram_and_rhs(target, powers))
+        assert w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-12
+        assert abs(w[0] + w[2] + w[3] - 0.4) < 1e-9 and abs(w[1] - 0.6) < 1e-9
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_vertex_optimum(self, rng, k):
+        # T = 2 P_0 for a pure rho_0 and mixed rho_1, rho_2: the multipliers at e_0 are
+        # tr(rho_0^2)^k - tr(rho_0 rho_j)^k > 0, so the fit is the vertex e_0
+        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        members = [np.outer(v, v.conj()) / np.vdot(v, v).real]
+        members += [linalg.random_density(rng, 4) for _ in range(2)]
+        powers = [kron_chain(m, k) for m in members]
+        target = 2 * powers[0]
+        w = _weight_step(*gram_and_rhs(target, powers))
+        assert abs(w[0] - 1.0) <= 1e-15 and np.array_equal(w[1:], [0.0, 0.0])
+        assert mismatch(target, powers, w) <= mismatch(target, powers, slsqp_weights(target, powers)) + 1e-12
 
 
 class TestMixtureOfPowers:
@@ -655,6 +693,35 @@ class TestBestProductMixtureDistance:
         val, ens = dk.best_product_mixture_distance(target, restarts=1, iters=5, seed=1)
         assert val < start - 1e-6
         assert abs(dk.trace_distance(target, dk.mixture_of_powers(ens, 2)) - val) < 1e-12
+
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_gram_and_overlaps_match_explicit_powers(self, rng, k):
+        # <rho_i^(x k), rho_j^(x k)> = <rho_i, rho_j>^k, and the pair-at-a-time
+        # contraction gives <rho_i^(x k), T> without forming a power
+        stack = np.array([linalg.random_density(rng, 4) for _ in range(5)])
+        target = random_state(rng, 2, 2, pairs=k).data
+        powers, rhs = gram_and_rhs(target, [kron_chain(m, k) for m in stack])
+        gram = np.einsum("iab,jab->ij", stack.conj(), stack).real ** k
+        assert np.max(np.abs(gram - powers)) <= 1e-12
+        assert np.max(np.abs(_power_overlaps(stack, target, k) - rhs)) <= 1e-12
+
+    @pytest.mark.parametrize("k,seed,iters", [(2, 0, 40), (2, 5, 3), (3, 1, 2), (4, 2, 0)])
+    def test_distance_is_the_returned_ensembles_own(self, k, seed, iters):
+        target = dk.symmetrize(random_state(np.random.default_rng(seed), 2, 2, pairs=k))
+        val, ens = dk.best_product_mixture_distance(target, restarts=2, iters=iters, seed=seed)
+        assert abs(dk.trace_distance(dk.mixture_of_powers(ens, k), target) - val) <= 1e-12
+
+    def test_k4_search_stores_no_powers(self):
+        # the n = 64 members' 4-fold powers alone would take 64 x 256^2 x 16 B = 64 MiB
+        target = dk.symmetrize(random_state(np.random.default_rng(4), 2, 2, pairs=4))
+        tracemalloc.start()
+        try:
+            dk.best_product_mixture_distance(target, restarts=1, iters=0, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestEnsembleJson:

@@ -326,6 +326,28 @@ class TestSimulation:
                     "--seed", str(seed), "--out", str(out)]) == 0
         assert tomography.load_counts(out).counts == expect
 
+    def test_state_inside_state_tol_is_measured(self, tmp_path):
+        # rho = (1 + eps)|g><g| - eps|ef><ef|, with e, f the top eigenvectors of the first
+        # element of each local frame and g orthogonal to ef, has least eigenvalue -eps:
+        # load_state accepts it, and its first Born probability is -eps tr(E_0) tr(F_0)
+        rng = np.random.default_rng(7)
+        frames = tomography.local_frame(dk.werner_state(2, 0.5))
+        e, f = (np.linalg.eigh(fr.elements[0])[1][:, -1] for fr in frames)
+        ef = np.kron(e, f)
+        g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        g -= np.vdot(ef, g) * ef
+        g /= np.linalg.norm(g)
+        eps = 8e-10
+        rho = (1 + eps) * np.outer(g, g.conj()) - eps * np.outer(ef, ef.conj())
+        spath, out = tmp_path / "s.json", tmp_path / "c.json"
+        dk.save_state(dk.BipartiteState(rho, 2, 2), spath)
+        state = dk.load_state(spath)
+        assert np.trace(np.kron(frames[0].elements[0], frames[1].elements[0]) @ state.data).real < -1e-10
+        assert dk.simulate_measurements(state, frames, 1000, seed=1).shots == 1000
+        assert run(["tomo-sim", "--state", str(spath), "--shots", "1000", "--seed", "1",
+                    "--out", str(out)]) == 0
+        assert sum(tomography.load_counts(out).counts) == 1000
+
     def test_large_deviation_rate_below_tail_bound(self):
         # 200 trials at a shot count where the bound is nonvacuous; the
         # empirical l1-deviation failure rate must not exceed it
