@@ -712,6 +712,15 @@ class TestBestProductMixtureDistance:
         val, ens = dk.best_product_mixture_distance(target, restarts=2, iters=iters, seed=seed)
         assert abs(dk.trace_distance(dk.mixture_of_powers(ens, k), target) - val) <= 1e-12
 
+    @pytest.mark.parametrize("seed,expect", [(0, 0.2258979665111615), (1, 0.2592765170623492),
+                                             (2, 0.2370338238696672)])
+    def test_k2_distances_pinned(self, seed, expect):
+        # the seed fixes the perturbation path; the values depend on the optimal weights
+        # only, not on how they are solved
+        target = dk.symmetrize(random_state(np.random.default_rng(100 + seed), 2, 2, pairs=2))
+        val, _ = dk.best_product_mixture_distance(target, restarts=1, iters=8, seed=seed)
+        assert abs(val - expect) <= 1e-12
+
     def test_k4_search_stores_no_powers(self):
         # the n = 64 members' 4-fold powers alone would take 64 x 256^2 x 16 B = 64 MiB
         target = dk.symmetrize(random_state(np.random.default_rng(4), 2, 2, pairs=4))
